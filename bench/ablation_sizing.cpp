@@ -18,8 +18,7 @@ int main() {
   base.run_periods = 240;
   base.fault_after_periods = 150;
 
-  const auto analyzed = rtc::analyze_duplicated_network(
-      runner.app().timing.to_model(), runner.app().timing.default_horizon());
+  const rtc::SizingReport& analyzed = runner.sizing();
   std::cout << "Analyzed Eq. (3) capacities: |R1| = " << analyzed.replicator_capacity1
             << ", |R2| = " << analyzed.replicator_capacity2 << "\n\n";
 

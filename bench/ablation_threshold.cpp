@@ -19,8 +19,7 @@ int main() {
   base.fault_after_periods = 150;
   base.enable_selector_stall_rule = false;  // isolate the divergence rule
 
-  const auto analyzed = rtc::analyze_duplicated_network(
-      runner.app().timing.to_model(), runner.app().timing.default_horizon());
+  const rtc::SizingReport& analyzed = runner.sizing();
   std::cout << "Analyzed Eq. (5) threshold: D = " << analyzed.selector_threshold
             << "\n\n";
 

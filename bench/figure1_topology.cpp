@@ -17,9 +17,7 @@ int main() {
   std::cout << "Figure 1 (bottom): duplicated process network\n";
   std::cout << runner.render_topology(true) << "\n";
 
-  const auto& app = runner.app();
-  const auto sizing = rtc::analyze_duplicated_network(app.timing.to_model(),
-                                                      app.timing.default_horizon());
+  const rtc::SizingReport& sizing = runner.sizing();
   std::cout << "Channel dimensioning (Section 3.4):\n"
             << "  replicator:  |R1| = " << sizing.replicator_capacity1
             << ", |R2| = " << sizing.replicator_capacity2 << " tokens\n"

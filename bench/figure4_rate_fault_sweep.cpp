@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
 
   const auto& timing = runner.app().timing;
   const auto horizon = timing.default_horizon() * 4;
-  const auto sizing =
-      rtc::analyze_duplicated_network(timing.to_model(), timing.default_horizon());
+  const rtc::SizingReport& sizing = runner.sizing();
   const rtc::PJDLowerCurve healthy_lower(timing.replica2_out);  // R2 stays healthy
 
   util::Table table(

@@ -3,8 +3,8 @@
 // of the DES kernel is visible across PRs.
 //
 //   * single_stream — one producer -> FIFO -> consumer pipe pushing 3 KB
-//     payloads; pure kernel churn (schedule/dispatch, token copies, channel
-//     wakes) with no application work.
+//     payloads with no application work; CRC-stamping each fresh payload
+//     outweighs the kernel churn (schedule/dispatch, channel wakes).
 //   * table2_mix   — one fault-free duplicated run per paper application
 //     (ADPCM, MJPEG, H.264) through the full experiment harness, transform
 //     caches pre-warmed so codec work is memoized and the simulator dominates.

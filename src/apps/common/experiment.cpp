@@ -55,7 +55,8 @@ struct DriftParams {
 
 }  // namespace
 
-ExperimentRunner::ExperimentRunner(ApplicationSpec app) : app_(std::move(app)) {
+ExperimentRunner::ExperimentRunner(ApplicationSpec app)
+    : app_(std::move(app)), sizing_(app_.timing.analyze()) {
   SCCFT_EXPECTS(app_.make_input != nullptr);
   SCCFT_EXPECTS(app_.input_cycle > 0);
   // Size the payload cache up front: the vector never reallocates, so slot
@@ -154,6 +155,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   kpn::FifoChannel* ref_in = nullptr;
   kpn::FifoChannel* ref_out = nullptr;
 
+  result.sizing = sizing_;
   if (options.duplicated) {
     ft::FaultTolerantHarness::Config config;
     config.timing = app_.timing;
@@ -168,9 +170,8 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
     config.enable_selector_stall_rule = options.enable_selector_stall_rule;
     config.divergence_threshold_override = options.divergence_override;
     config.replicator_capacity_override = options.replicator_capacity_override;
-    harness.emplace(net, config);
+    harness.emplace(net, config, sizing_);
 
-    result.sizing = harness->sizing();
     producer_sink = &harness->replicator();
     consumer_source = &harness->selector();
     replica_inputs[0] = &harness->replicator().read_interface(ft::ReplicaIndex::kReplica1);
@@ -180,11 +181,9 @@ ExperimentResult ExperimentRunner::run(const ExperimentOptions& options) {
   } else {
     // Reference network: same analysis, FIFOs F_P and F_C dimensioned per
     // Eq. (3)/(4) with the replica-1 timing (the reference's own timing).
-    result.sizing =
-        rtc::analyze_duplicated_network(app_.timing.to_model(), app_.timing.default_horizon());
-    ref_in = &net.add_fifo(app_.name + ".F_P", result.sizing.replicator_capacity1,
+    ref_in = &net.add_fifo(app_.name + ".F_P", sizing_.replicator_capacity1,
                            link("producer", "ref." + stage_names.front()));
-    ref_out = &net.add_fifo(app_.name + ".F_C", result.sizing.selector_capacity1,
+    ref_out = &net.add_fifo(app_.name + ".F_C", sizing_.selector_capacity1,
                             link("ref." + stage_names.back(), "consumer"));
     producer_sink = ref_in;
     consumer_source = ref_out;

@@ -206,6 +206,10 @@ class ExperimentRunner final {
 
   [[nodiscard]] const ApplicationSpec& app() const { return app_; }
 
+  /// The Eq. (3)-(8) report of app().timing, computed once at construction;
+  /// every run's channels (duplicated or reference) are sized from it.
+  [[nodiscard]] const rtc::SizingReport& sizing() const { return sizing_; }
+
   /// Renders the (duplicated or reference) topology as ASCII (Figures 1/2).
   [[nodiscard]] std::string render_topology(bool duplicated);
 
@@ -213,6 +217,7 @@ class ExperimentRunner final {
   const kpn::Token& input_token(std::uint64_t index);
 
   ApplicationSpec app_;
+  rtc::SizingReport sizing_;
   // Pre-sized to input_cycle at construction (never reallocates), each slot
   // written once under input_mutex_: returned references stay valid across
   // concurrent runs.

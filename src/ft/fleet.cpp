@@ -32,38 +32,16 @@ AppTimingSpec timing_of(const FleetStreamSpec& s) {
   return timing;
 }
 
-rtc::SizingReport size_critical(const FleetStreamSpec& s) {
-  const AppTimingSpec timing = timing_of(s);
-  return rtc::analyze_duplicated_network(timing.to_model(),
-                                         timing.default_horizon());
-}
-
-/// N-ary Eq. (3)/(4) sizing for a protection >= 3 stream, with the payload
-/// vote's capacity floor applied so placement MPB demands match what
-/// NReplicaHarness actually allocates (it grows each side to initial + D + 1;
-/// see framework.cpp).
-NSizingReport size_vote(const FleetStreamSpec& s) {
-  NReplicaTimingModel model;
-  model.producer_upper = rtc::make_curve<rtc::PJDUpperCurve>(s.producer);
-  model.producer_lower = rtc::make_curve<rtc::PJDLowerCurve>(s.producer);
-  model.consumer_upper = rtc::make_curve<rtc::PJDUpperCurve>(s.consumer);
-  model.consumer_lower = rtc::make_curve<rtc::PJDLowerCurve>(s.consumer);
-  for (int r = 0; r < s.protection; ++r) {
-    model.in_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(s.stage));
-    model.in_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(s.stage));
-    model.out_upper.push_back(rtc::make_curve<rtc::PJDUpperCurve>(s.stage));
-    model.out_lower.push_back(rtc::make_curve<rtc::PJDLowerCurve>(s.stage));
-  }
-  const rtc::TimeNs horizon =
-      100 * std::max({s.producer.period, s.stage.period, s.consumer.period}) +
-      2 * std::max({s.producer.jitter, s.stage.jitter, s.consumer.jitter});
-  NSizingReport sizing = analyze_n_replica_network(model, horizon);
-  for (std::size_t i = 0; i < sizing.selector_capacity.size(); ++i) {
-    sizing.selector_capacity[i] =
-        std::max(sizing.selector_capacity[i],
-                 sizing.selector_initial[i] + sizing.divergence_threshold + 1);
-  }
-  return sizing;
+/// The unsupervised N-replica payload-vote rig of a protection >= 3 stream.
+NReplicaHarness::Config vote_config_of(const FleetStreamSpec& s) {
+  NReplicaHarness::Config config;
+  config.producer = s.producer;
+  config.consumer = s.consumer;
+  config.replica_in.assign(static_cast<std::size_t>(s.protection), s.stage);
+  config.replica_out = config.replica_in;
+  config.name_prefix = stream_tag(s.index);
+  config.enable_payload_vote = true;
+  return config;
 }
 
 /// Eq. (3) capacity of a non-critical pipeline's FIFO: the producer's upper
@@ -79,11 +57,118 @@ rtc::Tokens pipeline_fifo_capacity(const FleetStreamSpec& s) {
   return std::max<rtc::Tokens>(capacity.value_or(1), 1);
 }
 
+/// One stream's design-time Eq. (3)-(8) sizing, computed once per fleet and
+/// shared by the placement request, the harness and the outcome. Exactly one
+/// member is filled, by protection level: the pair report (2), the raw N-ary
+/// report before the vote's capacity floor (>= 3), or the plain pipeline's
+/// FIFO capacity (1).
+struct StreamSizing {
+  rtc::SizingReport pair;
+  NSizingReport vote;
+  rtc::Tokens fifo_capacity = 0;
+};
+
+StreamSizing size_stream(const FleetStreamSpec& s) {
+  StreamSizing sizing;
+  if (s.protection >= 3) {
+    sizing.vote = vote_config_of(s).analyze();
+  } else if (s.critical) {
+    sizing.pair = timing_of(s).analyze();
+  } else {
+    sizing.fifo_capacity = pipeline_fifo_capacity(s);
+  }
+  return sizing;
+}
+
+std::vector<StreamSizing> size_streams(const std::vector<FleetStreamSpec>& streams) {
+  std::vector<StreamSizing> sizings;
+  sizings.reserve(streams.size());
+  for (const FleetStreamSpec& s : streams) sizings.push_back(size_stream(s));
+  return sizings;
+}
+
+/// Selector side i's capacity as NReplicaHarness allocates it: vote mode
+/// grows each side to at least initial + D + 1 (see framework.cpp).
+rtc::Tokens vote_selector_capacity(const NSizingReport& sizing, std::size_t i) {
+  return std::max(sizing.selector_capacity[i],
+                  sizing.selector_initial[i] + sizing.divergence_threshold + 1);
+}
+
 /// Traffic weight of one stream's edges: payload bytes per second.
 std::uint64_t bytes_per_second(const FleetStreamSpec& s) {
   return static_cast<std::uint64_t>(s.token_bytes) *
          static_cast<std::uint64_t>(1'000'000'000 /
                                     std::max<rtc::TimeNs>(s.producer.period, 1));
+}
+
+/// Appends stream `s`'s processes and traffic edges to `request`, with MPB
+/// demands taken from the stream's already-computed sizing.
+void add_stream(scc::PlacementRequest& request, const FleetStreamSpec& s,
+                const StreamSizing& sizing) {
+  const int base = static_cast<int>(request.processes.size());
+  const std::uint64_t weight = bytes_per_second(s);
+  const std::string tag = stream_tag(s.index);
+  if (s.protection >= 3) {
+    // Generalized layout: replica i's tile MPB holds both its replicator
+    // FIFO and its selector side S_i (the voting consumer reads every side
+    // remotely — N grown sides no longer fit one consumer tile), matching
+    // ft::replication_cost's per-replica sum(|R_i| + |S_i|) accounting.
+    // All N replicas share one anti-affinity group.
+    request.processes.push_back({tag + ".producer", s.index, -1, 0});
+    for (int r = 0; r < s.protection; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      request.processes.push_back(
+          {tag + ".r" + std::to_string(r + 1), s.index, s.index,
+           static_cast<std::size_t>(sizing.vote.replicator_capacity[ri] +
+                                    vote_selector_capacity(sizing.vote, ri)) *
+               s.token_bytes});
+    }
+    request.processes.push_back({tag + ".consumer", s.index, -1, 0});
+    const int consumer = base + 1 + s.protection;
+    for (int r = 0; r < s.protection; ++r) {
+      request.edges.push_back({base, base + 1 + r, weight});
+      request.edges.push_back({base + 1 + r, consumer, weight});
+    }
+  } else if (s.critical) {
+    // The replicator FIFO of replica i lives in the replica's tile MPB
+    // (the reader-side copy target of the paper's iRCCE put); both
+    // selector FIFOs live with the consumer.
+    request.processes.push_back({tag + ".producer", s.index, -1, 0});
+    request.processes.push_back(
+        {tag + ".r1", s.index, s.index,
+         static_cast<std::size_t>(sizing.pair.replicator_capacity1) * s.token_bytes});
+    request.processes.push_back(
+        {tag + ".r2", s.index, s.index,
+         static_cast<std::size_t>(sizing.pair.replicator_capacity2) * s.token_bytes});
+    request.processes.push_back(
+        {tag + ".consumer", s.index, -1,
+         static_cast<std::size_t>(sizing.pair.selector_capacity1 +
+                                  sizing.pair.selector_capacity2) *
+             s.token_bytes});
+    request.edges.push_back({base, base + 1, weight});
+    request.edges.push_back({base, base + 2, weight});
+    request.edges.push_back({base + 1, base + 3, weight});
+    request.edges.push_back({base + 2, base + 3, weight});
+  } else {
+    const std::size_t fifo_bytes =
+        static_cast<std::size_t>(sizing.fifo_capacity) * s.token_bytes;
+    request.processes.push_back({tag + ".producer", s.index, -1, 0});
+    request.processes.push_back({tag + ".worker", s.index, -1, fifo_bytes});
+    request.processes.push_back({tag + ".consumer", s.index, -1, fifo_bytes});
+    request.edges.push_back({base, base + 1, weight});
+    request.edges.push_back({base + 1, base + 2, weight});
+  }
+}
+
+scc::PlacementRequest placement_request(const FleetSpec& spec,
+                                        const std::vector<FleetStreamSpec>& streams,
+                                        const std::vector<StreamSizing>& sizings) {
+  scc::PlacementRequest request;
+  request.max_processes_per_core = spec.max_processes_per_core;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    add_stream(request, streams[i], sizings[i]);
+  }
+  return request;
 }
 
 }  // namespace
@@ -137,78 +222,14 @@ std::vector<FleetStreamSpec> FleetSpec::materialize() const {
 
 scc::PlacementRequest build_placement_request(
     const FleetSpec& spec, const std::vector<FleetStreamSpec>& streams) {
-  scc::PlacementRequest request;
-  request.max_processes_per_core = spec.max_processes_per_core;
-  for (const FleetStreamSpec& s : streams) {
-    const int base = static_cast<int>(request.processes.size());
-    const std::uint64_t weight = bytes_per_second(s);
-    if (s.protection >= 3) {
-      const NSizingReport sizing = size_vote(s);
-      // Generalized layout: replica i's tile MPB holds both its replicator
-      // FIFO and its selector side S_i (the voting consumer reads every side
-      // remotely — N grown sides no longer fit one consumer tile), matching
-      // ft::replication_cost's per-replica sum(|R_i| + |S_i|) accounting.
-      // All N replicas share one anti-affinity group.
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      for (int r = 0; r < s.protection; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        request.processes.push_back(
-            {stream_tag(s.index) + ".r" + std::to_string(r + 1), s.index,
-             s.index,
-             static_cast<std::size_t>(sizing.replicator_capacity[ri] +
-                                      sizing.selector_capacity[ri]) *
-                 s.token_bytes});
-      }
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1, 0});
-      const int consumer = base + 1 + s.protection;
-      for (int r = 0; r < s.protection; ++r) {
-        request.edges.push_back({base, base + 1 + r, weight});
-        request.edges.push_back({base + 1 + r, consumer, weight});
-      }
-    } else if (s.critical) {
-      const rtc::SizingReport sizing = size_critical(s);
-      // The replicator FIFO of replica i lives in the replica's tile MPB
-      // (the reader-side copy target of the paper's iRCCE put); both
-      // selector FIFOs live with the consumer.
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".r1", s.index, s.index,
-           static_cast<std::size_t>(sizing.replicator_capacity1) * s.token_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".r2", s.index, s.index,
-           static_cast<std::size_t>(sizing.replicator_capacity2) * s.token_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1,
-           static_cast<std::size_t>(sizing.selector_capacity1 +
-                                    sizing.selector_capacity2) *
-               s.token_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base, base + 2, weight});
-      request.edges.push_back({base + 1, base + 3, weight});
-      request.edges.push_back({base + 2, base + 3, weight});
-    } else {
-      const std::size_t fifo_bytes =
-          static_cast<std::size_t>(pipeline_fifo_capacity(s)) * s.token_bytes;
-      request.processes.push_back(
-          {stream_tag(s.index) + ".producer", s.index, -1, 0});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".worker", s.index, -1, fifo_bytes});
-      request.processes.push_back(
-          {stream_tag(s.index) + ".consumer", s.index, -1, fifo_bytes});
-      request.edges.push_back({base, base + 1, weight});
-      request.edges.push_back({base + 1, base + 2, weight});
-    }
-  }
-  return request;
+  return placement_request(spec, streams, size_streams(streams));
 }
 
 FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) {
   SCCFT_EXPECTS(options.run_length > 0);
   const std::vector<FleetStreamSpec> streams = spec.materialize();
-  const scc::PlacementRequest request = build_placement_request(spec, streams);
+  const std::vector<StreamSizing> sizings = size_streams(streams);
+  const scc::PlacementRequest request = placement_request(spec, streams, sizings);
   const scc::Placement placement = scc::place_fleet(request);
 
   sim::Simulator simulator;
@@ -230,16 +251,15 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
   std::vector<std::unique_ptr<NReplicaHarness>> vote_harnesses(streams.size());
   std::vector<std::unique_ptr<Supervisor>> supervisors(streams.size());
   std::vector<std::unique_ptr<FaultCampaign>> campaigns(streams.size());
-  std::vector<rtc::SizingReport> sizings(streams.size());
   std::vector<kpn::FifoChannel*> fifo_in(streams.size(), nullptr);
   std::vector<kpn::FifoChannel*> fifo_out(streams.size(), nullptr);
-  std::vector<rtc::Tokens> fifo_caps(streams.size(), 0);
 
   std::vector<rtc::online::StreamSpec> monitor_specs;
 
   std::size_t process_cursor = 0;
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const FleetStreamSpec& s = streams[i];
+    const StreamSizing& sizing = sizings[i];
     const std::string tag = stream_tag(s.index);
     Runtime* rt = &runtime[i];
     const trace::SubjectId producer_subject =
@@ -261,14 +281,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       // the selector's job (ft/nreplica), no Supervisor attached. The vote
       // channels model no NoC links — mesh accounting for these streams is
       // placement-only.
-      NReplicaHarness::Config config;
-      config.producer = s.producer;
-      config.consumer = s.consumer;
-      config.replica_in.assign(static_cast<std::size_t>(s.protection), s.stage);
-      config.replica_out = config.replica_in;
-      config.name_prefix = tag;
-      config.enable_payload_vote = true;
-      vote_harnesses[i] = std::make_unique<NReplicaHarness>(net, config);
+      vote_harnesses[i] =
+          std::make_unique<NReplicaHarness>(net, vote_config_of(s), sizing.vote);
       NReplicaHarness* harness = vote_harnesses[i].get();
 
       net.add_process(
@@ -360,9 +374,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       config.replica2_in_core = config.replica2_out_core =
           placement.process_to_core[process_cursor + 2];
       config.consumer_core = placement.process_to_core[process_cursor + 3];
-      harnesses[i] = std::make_unique<FaultTolerantHarness>(net, config);
+      harnesses[i] = std::make_unique<FaultTolerantHarness>(net, config, sizing.pair);
       FaultTolerantHarness* harness = harnesses[i].get();
-      sizings[i] = harness->sizing();
 
       net.add_process(
           tag + ".producer", config.producer_core, s.seed * 10 + 1,
@@ -427,8 +440,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       supervisor_config.restart_budget = spec.restart_budget;
       supervisor_config.initial_backoff = 20'000'000;
       supervisor_config.detection_latency_bound =
-          std::min(sizings[i].replicator_overflow_bound,
-                   sizings[i].selector_latency_bound);
+          std::min(sizing.pair.replicator_overflow_bound,
+                   sizing.pair.selector_latency_bound);
       supervisor_config.name = tag + ".sup";
       supervisor_config.injection_subject = tag + ".faults";
       if (pool.capacity > 0) supervisor_config.shared_budget = &pool;
@@ -454,8 +467,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
         campaigns[i]->arm();
       }
     } else {
-      const rtc::Tokens capacity = pipeline_fifo_capacity(s);
-      fifo_caps[i] = capacity;
+      const rtc::Tokens capacity = sizing.fifo_capacity;
       const scc::CoreId producer_core = placement.process_to_core[process_cursor];
       const scc::CoreId worker_core =
           placement.process_to_core[process_cursor + 1];
@@ -556,6 +568,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
   result.streams.reserve(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const FleetStreamSpec& s = streams[i];
+    const StreamSizing& sizing = sizings[i];
     FleetStreamOutcome outcome;
     outcome.index = s.index;
     outcome.critical = s.critical;
@@ -568,9 +581,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
     outcome.sequence_gap = runtime[i].gap;
     if (s.protection >= 3) {
       NReplicaHarness* harness = vote_harnesses[i].get();
-      const NSizingReport& sizing = harness->sizing();
-      outcome.detection_bound = std::min(sizing.replicator_overflow_bound,
-                                         sizing.selector_latency_bound);
+      outcome.detection_bound = std::min(sizing.vote.replicator_overflow_bound,
+                                         sizing.vote.selector_latency_bound);
       for (const NDetectionRecord& record : harness->detections()) {
         if (record.replica == 0) {
           outcome.detected = true;
@@ -588,22 +600,19 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       const kpn::ChannelStats selector_stats = harness->selector().stats();
       outcome.replicator_max_fill = replicator_stats.max_fill;
       outcome.replicator_capacity =
-          *std::max_element(sizing.replicator_capacity.begin(),
-                            sizing.replicator_capacity.end());
+          *std::max_element(sizing.vote.replicator_capacity.begin(),
+                            sizing.vote.replicator_capacity.end());
       outcome.selector_max_fill = selector_stats.max_fill;
-      for (std::size_t r = 0; r < sizing.selector_capacity.size(); ++r) {
-        outcome.selector_capacity += std::max(
-            sizing.selector_capacity[r],
-            sizing.selector_initial[r] + sizing.divergence_threshold + 1);
+      for (std::size_t r = 0; r < sizing.vote.selector_capacity.size(); ++r) {
+        outcome.selector_capacity += vote_selector_capacity(sizing.vote, r);
       }
       outcome.writer_blocks =
           replicator_stats.writer_blocks + selector_stats.writer_blocks;
     } else if (s.critical) {
       FaultTolerantHarness* harness = harnesses[i].get();
       Supervisor* supervisor = supervisors[i].get();
-      outcome.detection_bound =
-          std::min(sizings[i].replicator_overflow_bound,
-                   sizings[i].selector_latency_bound);
+      outcome.detection_bound = std::min(sizing.pair.replicator_overflow_bound,
+                                         sizing.pair.selector_latency_bound);
       const auto target = supervisor->report(ReplicaIndex::kReplica1);
       const auto peer = supervisor->report(ReplicaIndex::kReplica2);
       outcome.detected = target.faults_seen > 0;
@@ -617,20 +626,20 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       const kpn::ChannelStats replicator_stats = harness->replicator().stats();
       const kpn::ChannelStats selector_stats = harness->selector().stats();
       outcome.replicator_max_fill = replicator_stats.max_fill;
-      outcome.replicator_capacity = std::max(sizings[i].replicator_capacity1,
-                                             sizings[i].replicator_capacity2);
+      outcome.replicator_capacity = std::max(sizing.pair.replicator_capacity1,
+                                             sizing.pair.replicator_capacity2);
       outcome.selector_max_fill = selector_stats.max_fill;
       outcome.selector_capacity =
-          sizings[i].selector_capacity1 + sizings[i].selector_capacity2;
+          sizing.pair.selector_capacity1 + sizing.pair.selector_capacity2;
       outcome.writer_blocks =
           replicator_stats.writer_blocks + selector_stats.writer_blocks;
     } else {
       const kpn::ChannelStats in_stats = fifo_in[i]->stats();
       const kpn::ChannelStats out_stats = fifo_out[i]->stats();
       outcome.replicator_max_fill = in_stats.max_fill;
-      outcome.replicator_capacity = fifo_caps[i];
+      outcome.replicator_capacity = sizing.fifo_capacity;
       outcome.selector_max_fill = out_stats.max_fill;
-      outcome.selector_capacity = fifo_caps[i];
+      outcome.selector_capacity = sizing.fifo_capacity;
       outcome.writer_blocks = in_stats.writer_blocks + out_stats.writer_blocks;
     }
     for (const auto& report : monitor_reports) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -33,6 +34,10 @@ rtc::TimeNs AppTimingSpec::default_horizon() const {
   return 100 * max_period + 2 * max_jitter;
 }
 
+rtc::SizingReport AppTimingSpec::analyze() const {
+  return rtc::analyze_duplicated_network(to_model(), default_horizon());
+}
+
 std::optional<DetectionRecord> DetectionLog::first() const {
   if (records.empty()) return std::nullopt;
   return records.front();
@@ -57,7 +62,11 @@ std::optional<DetectionRecord> DetectionLog::first_selector() const {
 }
 
 FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
-    : injector_(network.simulator()) {
+    : FaultTolerantHarness(network, config, config.timing.analyze()) {}
+
+FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config,
+                                           rtc::SizingReport sizing)
+    : sizing_(sizing), injector_(network.simulator()) {
   // The overrides use 0 as "unset"; a negative value is neither unset nor a
   // legal size, and the `override > 0 ? override : analyzed` selection below
   // would silently discard it. Diagnose with the offending value instead.
@@ -75,9 +84,6 @@ FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
             std::to_string(config.replicator_capacity_override),
         __FILE__, __LINE__);
   }
-  const rtc::TimeNs horizon = config.timing.default_horizon();
-  sizing_ = rtc::analyze_duplicated_network(config.timing.to_model(), horizon);
-
   auto link = [&](scc::CoreId src,
                   scc::CoreId dst) -> std::optional<kpn::FifoChannel::LinkModel> {
     if (config.platform == nullptr) return std::nullopt;
@@ -134,27 +140,39 @@ rtc::TimeNs NReplicaHarness::Config::default_horizon() const {
   return 100 * max_period + 2 * max_jitter;
 }
 
-NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config) {
-  SCCFT_EXPECTS(config.replica_in.size() >= 2);
-  SCCFT_EXPECTS(config.replica_out.size() == config.replica_in.size());
-  const std::size_t n = config.replica_in.size();
+NSizingReport NReplicaHarness::Config::analyze() const {
+  SCCFT_EXPECTS(replica_in.size() >= 2);
+  SCCFT_EXPECTS(replica_out.size() == replica_in.size());
+  const std::size_t n = replica_in.size();
 
   NReplicaTimingModel model;
   auto fill = [](const rtc::PJD& pjd, rtc::CurveRef& upper, rtc::CurveRef& lower) {
     upper = rtc::make_curve<rtc::PJDUpperCurve>(pjd);
     lower = rtc::make_curve<rtc::PJDLowerCurve>(pjd);
   };
-  fill(config.producer, model.producer_upper, model.producer_lower);
-  fill(config.consumer, model.consumer_upper, model.consumer_lower);
+  fill(producer, model.producer_upper, model.producer_lower);
+  fill(consumer, model.consumer_upper, model.consumer_lower);
   model.in_upper.resize(n);
   model.in_lower.resize(n);
   model.out_upper.resize(n);
   model.out_lower.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    fill(config.replica_in[i], model.in_upper[i], model.in_lower[i]);
-    fill(config.replica_out[i], model.out_upper[i], model.out_lower[i]);
+    fill(replica_in[i], model.in_upper[i], model.in_lower[i]);
+    fill(replica_out[i], model.out_upper[i], model.out_lower[i]);
   }
-  sizing_ = analyze_n_replica_network(model, config.default_horizon());
+  return analyze_n_replica_network(model, default_horizon());
+}
+
+NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config)
+    : NReplicaHarness(network, config, config.analyze()) {}
+
+NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config,
+                                 NSizingReport sizing)
+    : sizing_(std::move(sizing)) {
+  SCCFT_EXPECTS(config.replica_in.size() >= 2);
+  SCCFT_EXPECTS(sizing_.replicator_capacity.size() == config.replica_in.size());
+  SCCFT_EXPECTS(sizing_.selector_capacity.size() == config.replica_in.size());
+  SCCFT_EXPECTS(sizing_.selector_initial.size() == config.replica_in.size());
 
   replicator_ = &network.adopt_channel(std::make_unique<NReplicatorChannel>(
       network.simulator(), config.name_prefix + ".replicator",

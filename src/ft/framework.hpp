@@ -41,6 +41,11 @@ struct AppTimingSpec {
   /// A horizon that safely covers the transient of all sup/inf computations
   /// (100x the largest period plus the largest jitter).
   [[nodiscard]] rtc::TimeNs default_horizon() const;
+
+  /// The Section 3.4 analysis (Eq. 3-8) of this spec over default_horizon().
+  /// Design-time work: callers that build many networks from one spec run it
+  /// once and hand the report to each FaultTolerantHarness.
+  [[nodiscard]] rtc::SizingReport analyze() const;
 };
 
 /// Chronological record of all fault detections during one run.
@@ -88,7 +93,11 @@ class FaultTolerantHarness final {
     rtc::Tokens replicator_capacity_override = 0;
   };
 
+  /// Sizes the channels with config.timing.analyze().
   FaultTolerantHarness(kpn::Network& network, Config config);
+  /// Builds the channels from a report computed earlier. `sizing` must be
+  /// config.timing.analyze(); the overrides still apply on top of it.
+  FaultTolerantHarness(kpn::Network& network, Config config, rtc::SizingReport sizing);
 
   [[nodiscard]] const rtc::SizingReport& sizing() const { return sizing_; }
   [[nodiscard]] ReplicatorChannel& replicator() { return *replicator_; }
@@ -134,9 +143,17 @@ class NReplicaHarness final {
 
     /// A horizon covering the transient of all sup/inf computations.
     [[nodiscard]] rtc::TimeNs default_horizon() const;
+
+    /// The N-ary Eq. (3)-(8) analysis of these models over default_horizon(),
+    /// before the payload vote's capacity floor (the harness applies that).
+    [[nodiscard]] NSizingReport analyze() const;
   };
 
+  /// Sizes the channels with config.analyze().
   NReplicaHarness(kpn::Network& network, Config config);
+  /// Builds the channels from a report computed earlier. `sizing` must be
+  /// config.analyze().
+  NReplicaHarness(kpn::Network& network, Config config, NSizingReport sizing);
 
   [[nodiscard]] int replica_count() const { return replicator_->replica_count(); }
   [[nodiscard]] const NSizingReport& sizing() const { return sizing_; }

@@ -64,6 +64,8 @@ struct NSizingReport {
   rtc::Tokens divergence_threshold = 0;          // D
   rtc::TimeNs replicator_overflow_bound = 0;     // max_i (Eq. 3 fill time)
   rtc::TimeNs selector_latency_bound = 0;        // Eq. (7)/(8) over all pairs
+
+  bool operator==(const NSizingReport&) const = default;
 };
 
 /// Runs the Section 3.4 analysis for N replicas. Throws on infeasible bounds.

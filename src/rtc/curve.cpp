@@ -72,4 +72,14 @@ CurveRef& CurveRef::operator=(const CurveRef& other) {
   return *this;
 }
 
+std::vector<TimeNs> ordered_jump_points(const Curve& curve, TimeNs horizon) {
+  std::vector<TimeNs> points = curve.jump_points_up_to(horizon);
+  TimeNs prev = 0;
+  for (const TimeNs at : points) {
+    SCCFT_ASSERT(at > prev && at <= horizon);
+    prev = at;
+  }
+  return points;
+}
+
 }  // namespace sccft::rtc

@@ -120,4 +120,12 @@ template <typename T, typename... Args>
   return CurveRef(std::make_unique<T>(std::forward<Args>(args)...));
 }
 
+/// `curve.jump_points_up_to(horizon)` with the ordering invariant checked:
+/// strictly increasing, all in (0, horizon]. The sizing and pointwise-algebra
+/// candidate scans merge these lists rather than sort them, so a curve that
+/// broke the invariant would silently skip candidates; this throws
+/// util::ContractViolation instead.
+[[nodiscard]] std::vector<TimeNs> ordered_jump_points(const Curve& curve,
+                                                      TimeNs horizon);
+
 }  // namespace sccft::rtc

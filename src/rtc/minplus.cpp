@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -12,12 +13,17 @@ namespace sccft::rtc {
 
 namespace {
 
+/// Delta = 0 plus every jump point of f or g up to `horizon`: the points at
+/// which a pointwise combination can change. Both lists arrive sorted
+/// (ordered_jump_points), so they merge in linear time.
 std::vector<TimeNs> merged_points(const Curve& f, const Curve& g, TimeNs horizon) {
-  std::vector<TimeNs> points{0};
-  for (const Curve* curve : {&f, &g}) {
-    for (TimeNs at : curve->jump_points_up_to(horizon)) points.push_back(at);
-  }
-  std::sort(points.begin(), points.end());
+  const std::vector<TimeNs> from_f = ordered_jump_points(f, horizon);
+  const std::vector<TimeNs> from_g = ordered_jump_points(g, horizon);
+  std::vector<TimeNs> points;
+  points.reserve(1 + from_f.size() + from_g.size());
+  points.push_back(0);
+  std::merge(from_f.begin(), from_f.end(), from_g.begin(), from_g.end(),
+             std::back_inserter(points));
   points.erase(std::unique(points.begin(), points.end()), points.end());
   return points;
 }
@@ -48,8 +54,12 @@ StaircaseCurve materialize(const std::vector<TimeNs>& candidates,
   Tokens tail_step = 0;
   if (tail_rate > 0.0) {
     tail_period = static_cast<TimeNs>(std::llround(1.0 / tail_rate));
-    SCCFT_ASSERT(tail_period > 0);
     tail_step = 1;
+    if (tail_period == 0) {
+      // Faster than two tokens per ns: one period of 1 ns carries the rate.
+      tail_period = 1;
+      tail_step = static_cast<Tokens>(std::llround(tail_rate));
+    }
     tail_start = std::max(horizon, jumps.empty() ? 0 : jumps.back().at);
   }
   return StaircaseCurve(base, std::move(jumps), tail_start, tail_period, tail_step,

@@ -20,7 +20,10 @@ OnlineMonitor::OnlineMonitor(trace::TraceBus& bus, const LatticeConfig& lattice,
                               .name = std::move(spec.name),
                               .replica = spec.replica,
                               .estimator = std::move(estimator),
-                              .checker = std::move(checker)});
+                              .checker = std::move(checker),
+                              .escalated = false,
+                              .window = std::nullopt,
+                              .misses = 0});
     if (options_.weakly_hard) {
       streams_.back().window.emplace(*options_.weakly_hard);
     }

@@ -3,6 +3,7 @@
 #include "rtc/pjd.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -15,16 +16,25 @@ namespace {
 /// every jump point of either curve, and one nanosecond before every jump
 /// point (for staircases, f - g is piecewise constant between jumps; its
 /// maximum is attained immediately at an up-jump of f or immediately before
-/// an up-jump of g).
+/// an up-jump of g). Each curve's jump points arrive in increasing order
+/// (ordered_jump_points), so its {at - 1, at} pairs are already sorted and
+/// the two lists merge in linear time.
 std::vector<TimeNs> candidate_points(const Curve& f, const Curve& g, TimeNs horizon) {
-  std::vector<TimeNs> candidates{0};
-  for (const Curve* curve : {&f, &g}) {
-    for (TimeNs at : curve->jump_points_up_to(horizon)) {
-      candidates.push_back(at);
-      if (at > 0) candidates.push_back(at - 1);
+  auto bracketed = [horizon](const Curve& curve) {
+    std::vector<TimeNs> points;
+    for (const TimeNs at : ordered_jump_points(curve, horizon)) {
+      points.push_back(at - 1);
+      points.push_back(at);
     }
-  }
-  std::sort(candidates.begin(), candidates.end());
+    return points;
+  };
+  const std::vector<TimeNs> from_f = bracketed(f);
+  const std::vector<TimeNs> from_g = bracketed(g);
+  std::vector<TimeNs> candidates;
+  candidates.reserve(1 + from_f.size() + from_g.size());
+  candidates.push_back(0);
+  std::merge(from_f.begin(), from_f.end(), from_g.begin(), from_g.end(),
+             std::back_inserter(candidates));
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
   return candidates;
 }

@@ -102,6 +102,8 @@ struct SizingReport {
   /// consumption streams ("computations for the replicator are analogous").
   TimeNs replicator_divergence_bound = 0;
   TimeNs selector_latency_bound = 0;    ///< Eq. (7)/(8) at the selector
+
+  bool operator==(const SizingReport&) const = default;
 };
 
 /// Inputs to the sizing analysis: arrival-curve pairs for the producer, each

@@ -34,8 +34,7 @@ ft::NSizingReport size_pair(const ProcessSpec& spec) {
   timing.replica1_in = timing.replica2_in = spec.stage;
   timing.replica1_out = timing.replica2_out = spec.stage;
   timing.consumer = spec.consumer;
-  const rtc::SizingReport s = rtc::analyze_duplicated_network(
-      timing.to_model(), timing.default_horizon());
+  const rtc::SizingReport s = timing.analyze();
   ft::NSizingReport n;
   n.replicator_capacity = {s.replicator_capacity1, s.replicator_capacity2};
   n.selector_capacity = {s.selector_capacity1, s.selector_capacity2};

@@ -13,6 +13,7 @@
 #include "apps/h264/app.hpp"
 #include "apps/mjpeg/app.hpp"
 #include "apps/common/experiment.hpp"
+#include "rtc/sizing.hpp"
 
 namespace sccft::apps {
 namespace {
@@ -43,6 +44,22 @@ TEST_P(ExperimentTest, FaultFreeRunHasNoFalsePositives) {
   const auto result = runner.run(options);
   EXPECT_FALSE(result.any_detection) << "false positive detection";
   EXPECT_GT(result.consumer_tokens, 0u);
+}
+
+TEST_P(ExperimentTest, SizingIsTheDesignTimeReportForBothNetworks) {
+  // The runner sizes once at construction; every run, duplicated or
+  // reference, must report exactly the Eq. (3)-(8) analysis of the app.
+  const ApplicationSpec app = spec_for(GetParam());
+  const rtc::SizingReport designed =
+      rtc::analyze_duplicated_network(app.timing.to_model(), app.timing.default_horizon());
+  ExperimentRunner runner(app);
+  EXPECT_EQ(runner.sizing(), designed);
+  auto options = fast_options();
+  options.inject_fault = false;
+  options.run_periods = 20;
+  EXPECT_EQ(runner.run(options).sizing, designed);
+  options.duplicated = false;
+  EXPECT_EQ(runner.run(options).sizing, designed);
 }
 
 TEST_P(ExperimentTest, ObservedFillsWithinTheoreticalCapacities) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ft/fleet.hpp"
@@ -261,6 +263,160 @@ TEST(Fleet, OversubscribedFleetThrowsPlacementError) {
   FleetSpec spec;
   spec.streams = 96;
   EXPECT_THROW((void)run_fleet(spec, quick_options()), scc::PlacementError);
+}
+
+// --- size-once pins ----------------------------------------------------------
+// Every FleetStreamOutcome field of one default and one mixed N in {1,2,3}
+// 32-stream fleet, captured before run_fleet stopped re-sizing each stream in
+// its harness constructor. Sizing once must change nothing: capacities,
+// detection bounds, fills, latencies and rates all stay bit-identical.
+
+struct PinnedOutcome {
+  int index;
+  bool critical;
+  int protection;
+  std::uint64_t tokens_consumed;
+  double nominal_rate_hz;
+  double achieved_rate_hz;
+  rtc::TimeNs detection_latency;  // -1 = none
+  rtc::TimeNs detection_bound;
+  bool detected;
+  bool false_conviction;
+  int restarts;
+  bool degraded;
+  rtc::Tokens replicator_max_fill;
+  rtc::Tokens replicator_capacity;
+  rtc::Tokens selector_max_fill;
+  rtc::Tokens selector_capacity;
+  std::uint64_t writer_blocks;
+  bool sequence_gap;
+  std::uint64_t upper_violations;
+  std::uint64_t lower_violations;
+};
+
+// clang-format off
+const PinnedOutcome kDefaultFleet32[] = {
+    {0, 1, 2, 50, 169.39270344317774, 166.66666666666669, 14879225, 18448256, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {1, 0, 1, 54, 181.77207780935564, 180, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {2, 1, 2, 60, 202.56508162866376, 200, 14216357, 15427140, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {3, 0, 1, 73, 246.35857391890468, 243.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {4, 1, 2, 82, 276.30591153734673, 273.33333333333337, 7061491, 11309928, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {5, 0, 1, 72, 241.52086655754755, 240, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {6, 1, 2, 84, 283.60097229757343, 280, 8419803, 11019003, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {7, 0, 1, 57, 190.97385014167395, 190, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {8, 1, 2, 98, 330.13858227268059, 326.66666666666669, 8085043, 9465721, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {9, 0, 1, 82, 276.80480887458361, 273.33333333333337, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {10, 1, 2, 120, 400.71166391511326, 400, 4938437, 7798625, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {11, 0, 1, 125, 419.75378082724234, 416.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {12, 1, 2, 102, 341.78697853133451, 340, 7830774, 9143121, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {13, 0, 1, 146, 489.17456683592104, 486.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {14, 1, 2, 71, 238.66866798300393, 236.66666666666669, 8052295, 13093465, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {15, 0, 1, 49, 166.90074496147514, 163.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {16, 1, 2, 110, 367.79268850202817, 366.66666666666669, 7337656, 8496634, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {17, 0, 1, 55, 185.75845642153052, 183.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {18, 1, 2, 86, 289.71474975453918, 286.66666666666669, 6597482, 10786471, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {19, 0, 1, 61, 207.13780298046441, 203.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {20, 1, 2, 55, 185.30298984521085, 183.33333333333334, 12284073, 16864271, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {21, 0, 1, 52, 175.86375483185665, 173.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {22, 1, 2, 110, 368.11003839755813, 366.66666666666669, 7054200, 8489309, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {23, 0, 1, 60, 203.115012453997, 200, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {24, 1, 2, 55, 183.99118461436277, 183.33333333333334, 12468882, 16984509, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {25, 0, 1, 81, 270.83338411459283, 270, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {26, 1, 2, 51, 173.37714226964204, 170, 12684251, 18024290, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {27, 0, 1, 62, 208.66811524072267, 206.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {28, 1, 2, 56, 189.44531926082982, 186.66666666666669, 15648223, 16495525, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {29, 0, 1, 66, 221.54650538081074, 220, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {30, 1, 2, 52, 173.90100650424546, 173.33333333333334, 12643527, 17969993, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {31, 0, 1, 51, 172.91991179701139, 170, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+};
+
+const PinnedOutcome kMixedFleet32[] = {
+    {0, 1, 3, 50, 169.39270344317774, 166.66666666666669, 14879225, 18448256, 1, 0, 0, 1, 2, 2, 1, 18, 0, 0, 0, 0},
+    {1, 0, 1, 54, 181.77207780935564, 180, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {2, 1, 2, 60, 202.56508162866376, 200, 14216357, 15427140, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {3, 0, 1, 73, 246.35857391890468, 243.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {4, 1, 2, 82, 276.30591153734673, 273.33333333333337, 7061491, 11309928, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {5, 0, 1, 72, 241.52086655754755, 240, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {6, 1, 2, 84, 283.60097229757343, 280, 8419803, 11019003, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {7, 0, 1, 57, 190.97385014167395, 190, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {8, 1, 3, 98, 330.13858227268059, 326.66666666666669, 8085043, 9465721, 1, 0, 0, 1, 2, 2, 1, 18, 0, 0, 0, 0},
+    {9, 0, 1, 82, 276.80480887458361, 273.33333333333337, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {10, 1, 2, 120, 400.71166391511326, 400, 4938437, 7798625, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {11, 0, 1, 125, 419.75378082724234, 416.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {12, 1, 2, 102, 341.78697853133451, 340, 7830774, 9143121, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {13, 0, 1, 146, 489.17456683592104, 486.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {14, 1, 2, 71, 238.66866798300393, 236.66666666666669, 8052295, 13093465, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {15, 0, 1, 49, 166.90074496147514, 163.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {16, 1, 3, 110, 367.79268850202817, 366.66666666666669, 7337656, 8496634, 1, 0, 0, 1, 2, 2, 1, 18, 0, 0, 0, 0},
+    {17, 0, 1, 55, 185.75845642153052, 183.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {18, 1, 2, 86, 289.71474975453918, 286.66666666666669, 6597482, 10786471, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {19, 0, 1, 61, 207.13780298046441, 203.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {20, 1, 2, 55, 185.30298984521085, 183.33333333333334, 12284073, 16864271, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {21, 0, 1, 52, 175.86375483185665, 173.33333333333334, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {22, 1, 2, 110, 368.11003839755813, 366.66666666666669, 7054200, 8489309, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {23, 0, 1, 60, 203.115012453997, 200, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {24, 1, 3, 55, 183.99118461436277, 183.33333333333334, 12468882, 16984509, 1, 0, 0, 1, 2, 2, 1, 18, 0, 0, 0, 0},
+    {25, 0, 1, 81, 270.83338411459283, 270, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {26, 1, 2, 51, 173.37714226964204, 170, 12684251, 18024290, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {27, 0, 1, 62, 208.66811524072267, 206.66666666666669, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {28, 1, 2, 56, 189.44531926082982, 186.66666666666669, 15648223, 16495525, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {29, 0, 1, 66, 221.54650538081074, 220, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+    {30, 1, 2, 52, 173.90100650424546, 173.33333333333334, 12643527, 17969993, 1, 0, 1, 0, 2, 2, 1, 8, 0, 0, 0, 0},
+    {31, 0, 1, 51, 172.91991179701139, 170, -1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 0, 0, 0},
+};
+// clang-format on
+
+void expect_pinned(const FleetRunResult& result, const PinnedOutcome* pins,
+                   std::size_t count) {
+  ASSERT_EQ(result.streams.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const FleetStreamOutcome& got = result.streams[i];
+    const PinnedOutcome& want = pins[i];
+    SCOPED_TRACE("stream " + std::to_string(i));
+    EXPECT_EQ(got.index, want.index);
+    EXPECT_EQ(got.critical, want.critical);
+    EXPECT_EQ(got.protection, want.protection);
+    EXPECT_EQ(got.tokens_consumed, want.tokens_consumed);
+    EXPECT_EQ(got.nominal_rate_hz, want.nominal_rate_hz);
+    EXPECT_EQ(got.achieved_rate_hz, want.achieved_rate_hz);
+    EXPECT_EQ(got.detection_latency.value_or(-1), want.detection_latency);
+    EXPECT_EQ(got.detection_bound, want.detection_bound);
+    EXPECT_EQ(got.detected, want.detected);
+    EXPECT_EQ(got.false_conviction, want.false_conviction);
+    EXPECT_EQ(got.restarts, want.restarts);
+    EXPECT_EQ(got.degraded, want.degraded);
+    EXPECT_EQ(got.replicator_max_fill, want.replicator_max_fill);
+    EXPECT_EQ(got.replicator_capacity, want.replicator_capacity);
+    EXPECT_EQ(got.selector_max_fill, want.selector_max_fill);
+    EXPECT_EQ(got.selector_capacity, want.selector_capacity);
+    EXPECT_EQ(got.writer_blocks, want.writer_blocks);
+    EXPECT_EQ(got.sequence_gap, want.sequence_gap);
+    EXPECT_EQ(got.upper_violations, want.upper_violations);
+    EXPECT_EQ(got.lower_violations, want.lower_violations);
+  }
+}
+
+TEST(Fleet, DefaultFleetOutcomesArePinned) {
+  FleetSpec spec;
+  spec.streams = 32;
+  const auto result = run_fleet(spec, quick_options());
+  EXPECT_EQ(result.events_processed, 13019u);
+  EXPECT_EQ(result.placement_cost, 9232384u);
+  EXPECT_EQ(result.max_tile_mpb_used, 16384u);
+  expect_pinned(result, kDefaultFleet32, std::size(kDefaultFleet32));
+}
+
+TEST(Fleet, MixedProtectionFleetOutcomesArePinned) {
+  FleetSpec spec;
+  spec.streams = 32;
+  for (int k = 0; k < 4; ++k) {
+    spec.protection.insert(spec.protection.end(), {3, 1, 2, 1, 2, 1, 2, 1});
+  }
+  const auto result = run_fleet(spec, quick_options());
+  EXPECT_EQ(result.events_processed, 13213u);
+  EXPECT_EQ(result.placement_cost, 13730816u);
+  EXPECT_EQ(result.max_tile_mpb_used, 16384u);
+  expect_pinned(result, kMixedFleet32, std::size(kMixedFleet32));
 }
 
 }  // namespace

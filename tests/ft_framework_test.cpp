@@ -1,7 +1,9 @@
 // FaultTolerantHarness + FaultInjector tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "apps/mjpeg/app.hpp"
 #include "ft/framework.hpp"
@@ -23,6 +25,61 @@ TEST(Harness, BuildsDimensionedChannels) {
   EXPECT_EQ(harness.selector().space(ReplicaIndex::kReplica2), 6 - 3);
   EXPECT_NE(net.find_channel("ft.replicator"), nullptr);
   EXPECT_NE(net.find_channel("ft.selector"), nullptr);
+}
+
+TEST(Harness, PrecomputedReportBuildsTheSameChannels) {
+  // Size-once callers (fleet, ExperimentRunner) hand the harness a report
+  // computed earlier; the channels must come out exactly as if the harness
+  // had run the analysis itself.
+  const AppTimingSpec timing = mjpeg_timing();
+  sim::Simulator sim;
+  kpn::Network net(sim);
+  FaultTolerantHarness own(net, {.timing = timing, .name_prefix = "own"});
+  FaultTolerantHarness given(net, {.timing = timing, .name_prefix = "given"},
+                             timing.analyze());
+  EXPECT_EQ(given.sizing(), own.sizing());
+  for (const ReplicaIndex r : {ReplicaIndex::kReplica1, ReplicaIndex::kReplica2}) {
+    EXPECT_EQ(given.replicator().capacity(r), own.replicator().capacity(r));
+    EXPECT_EQ(given.selector().space(r), own.selector().space(r));
+  }
+  EXPECT_EQ(given.selector().divergence_threshold(),
+            own.selector().divergence_threshold());
+}
+
+TEST(Harness, NReplicaPrecomputedReportBuildsTheSameChannels) {
+  for (const bool vote : {false, true}) {
+    NReplicaHarness::Config config;
+    config.producer = rtc::PJD::from_ms(30, 2, 30);
+    config.consumer = rtc::PJD::from_ms(30, 2, 30);
+    config.replica_in = {rtc::PJD::from_ms(30, 10, 30), rtc::PJD::from_ms(30, 20, 30),
+                         rtc::PJD::from_ms(30, 30, 30)};
+    config.replica_out = config.replica_in;
+    config.enable_payload_vote = vote;
+    sim::Simulator sim;
+    kpn::Network net(sim);
+    config.name_prefix = "own";
+    NReplicaHarness own(net, config);
+    config.name_prefix = "given";
+    NReplicaHarness given(net, config, config.analyze());
+    SCOPED_TRACE(vote ? "payload vote" : "no vote");
+    EXPECT_EQ(given.sizing(), own.sizing());
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(given.selector().space(r), own.selector().space(r)) << "replica " << r;
+    }
+    // Replicator capacities: the overflow rule fires on the same write.
+    auto writes_until_overflow = [](NReplicaHarness& harness) {
+      int writes = 0;
+      while (!harness.replicator().fault(2)) {
+        (void)harness.replicator().try_write(
+            kpn::Token(std::vector<std::uint8_t>{1}, static_cast<std::uint64_t>(writes), 0));
+        ++writes;
+      }
+      return writes;
+    };
+    const int own_writes = writes_until_overflow(own);
+    EXPECT_EQ(writes_until_overflow(given), own_writes);
+    EXPECT_EQ(own_writes, own.sizing().replicator_capacity[2] + 1);
+  }
 }
 
 TEST(Harness, DivergenceOverrideApplies) {

@@ -119,5 +119,15 @@ TEST(Pointwise, WorksOnPjdCurves) {
   }
 }
 
+TEST(Pointwise, TailCarriesRatesAboveTwoTokensPerNs) {
+  // Three tokens per ns each: the sum's tail must keep 6 tokens/ns beyond
+  // the horizon rather than fail to express a sub-nanosecond period.
+  const StaircaseCurve fast(0, {}, 0, 1, 3, "fast");
+  const auto sum = pointwise_sum(fast, fast, 10);
+  EXPECT_DOUBLE_EQ(sum.long_term_rate(), 6.0);
+  EXPECT_EQ(sum.value_at(10), 60);
+  EXPECT_EQ(sum.value_at(20), 120);
+}
+
 }  // namespace
 }  // namespace sccft::rtc

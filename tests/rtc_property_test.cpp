@@ -1,16 +1,22 @@
 // Parameterized property sweeps over the Section 3.4 analysis: monotonicity,
 // scaling, and symmetry laws that must hold for every PJD configuration —
-// plus brute-force oracles for the min-plus operators' candidate sets.
+// plus brute-force oracles for the min-plus operators' candidate sets, and a
+// sort-based reference for the merged sizing/pointwise candidate scans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "rtc/curve.hpp"
+#include "rtc/gpc.hpp"
 #include "rtc/minplus.hpp"
 #include "rtc/pjd.hpp"
 #include "rtc/sizing.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace sccft::rtc {
@@ -214,6 +220,193 @@ TEST(MinPlusOracle, ConvAgreesWithPjdCurves) {
     ASSERT_EQ(minplus_conv_at(upper, lower, delta), conv_oracle(upper, lower, delta))
         << "delta " << delta;
   }
+}
+
+// --- merged candidate scans vs the sort-based reference ---------------------
+// sup_difference, first_time_difference_reaches and the pointwise operators
+// merge each curve's jump-point list (increasing by the Curve contract) into
+// their candidate set. The reference below is the concatenate-and-sort
+// generator those scans used before; on random curve pairs and horizons both
+// must produce identical results, field for field.
+
+std::vector<TimeNs> sorted_candidates(const Curve& f, const Curve& g, TimeNs horizon,
+                                      bool bracket) {
+  std::vector<TimeNs> candidates{0};
+  for (const Curve* curve : {&f, &g}) {
+    for (TimeNs at : curve->jump_points_up_to(horizon)) {
+      candidates.push_back(at);
+      if (bracket && at > 0) candidates.push_back(at - 1);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  return candidates;
+}
+
+SupResult reference_sup(const Curve& f, const Curve& g, TimeNs horizon) {
+  SupResult result;
+  result.value = f.value_at(0) - g.value_at(0);
+  result.at = 0;
+  for (TimeNs at : sorted_candidates(f, g, horizon, true)) {
+    const Tokens diff = f.value_at(at) - g.value_at(at);
+    if (diff > result.value) {
+      result.value = diff;
+      result.at = at;
+    }
+  }
+  const double rf = f.long_term_rate();
+  const double rg = g.long_term_rate();
+  result.bounded = rf <= rg * (1.0 + 1e-9) + 1e-18;
+  result.stabilized = result.at <= horizon / 2;
+  return result;
+}
+
+std::optional<TimeNs> reference_first_reach(const Curve& f, const Curve& g, Tokens target,
+                                            TimeNs horizon) {
+  for (TimeNs at : sorted_candidates(f, g, horizon, true)) {
+    if (f.value_at(at) - g.value_at(at) >= target) return at;
+  }
+  return std::nullopt;
+}
+
+/// The staircase a pointwise operator must materialize: its value at 0 and
+/// one jump wherever `eval` rises across the sorted candidates.
+StaircaseCurve reference_pointwise(const Curve& f, const Curve& g, TimeNs horizon,
+                                   const std::function<Tokens(TimeNs)>& eval) {
+  const std::vector<TimeNs> candidates = sorted_candidates(f, g, horizon, false);
+  std::vector<StaircaseCurve::Jump> jumps;
+  Tokens prev = eval(0);
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const Tokens v = eval(candidates[i]);
+    if (v > prev) {
+      jumps.push_back({candidates[i], v - prev});
+      prev = v;
+    }
+  }
+  return StaircaseCurve(eval(0), std::move(jumps));
+}
+
+/// One of every Curve kind the sizing code sees: PJD upper/lower, explicit
+/// staircases with and without a periodic tail, the zero curve, and
+/// rate-latency service curves. Small parameters keep jump lists dense
+/// relative to the horizon, so the lists interleave and collide.
+CurveRef random_curve(util::Xoshiro256& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+    case 1: {
+      const TimeNs period = rng.uniform_int(1, 60);
+      const PJD model{period, rng.uniform_int(0, 3 * period), rng.uniform_int(0, 60)};
+      if (rng.uniform_int(0, 1) == 0) return make_curve<PJDUpperCurve>(model);
+      return make_curve<PJDLowerCurve>(model);
+    }
+    case 2:
+      return CurveRef(random_staircase(rng, "s").clone());
+    case 3: {
+      const StaircaseCurve head = random_staircase(rng, "s");
+      const TimeNs last = head.jumps().empty() ? 0 : head.jumps().back().at;
+      return make_curve<StaircaseCurve>(head.base(), head.jumps(),
+                                        last + rng.uniform_int(0, 20),
+                                        rng.uniform_int(1, 30), rng.uniform_int(1, 3),
+                                        "tail");
+    }
+    case 4:
+      return make_curve<ZeroCurve>();
+    default:
+      return make_curve<RateLatencyCurve>(rng.uniform_int(1, 50), rng.uniform_int(0, 100));
+  }
+}
+
+TEST(MergedScan, SupDifferenceMatchesSortedReference) {
+  util::Xoshiro256 rng(1303);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const CurveRef f = random_curve(rng);
+    const CurveRef g = random_curve(rng);
+    const TimeNs horizon = rng.uniform_int(1, 600);
+    const SupResult got = sup_difference(*f, *g, horizon);
+    const SupResult want = reference_sup(*f, *g, horizon);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " f=" + f->describe() +
+                 " g=" + g->describe() + " horizon=" + std::to_string(horizon));
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.at, want.at);
+    EXPECT_EQ(got.bounded, want.bounded);
+    EXPECT_EQ(got.stabilized, want.stabilized);
+  }
+}
+
+TEST(MergedScan, FirstReachMatchesSortedReference) {
+  util::Xoshiro256 rng(1304);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const CurveRef f = random_curve(rng);
+    const CurveRef g = random_curve(rng);
+    const TimeNs horizon = rng.uniform_int(1, 600);
+    const Tokens target = rng.uniform_int(-2, 12);
+    EXPECT_EQ(first_time_difference_reaches(*f, *g, target, horizon),
+              reference_first_reach(*f, *g, target, horizon))
+        << "trial " << trial << " f=" << f->describe() << " g=" << g->describe()
+        << " target=" << target << " horizon=" << horizon;
+  }
+}
+
+void expect_same_staircase(const StaircaseCurve& got, const StaircaseCurve& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.base(), want.base()) << what;
+  ASSERT_EQ(got.jumps().size(), want.jumps().size()) << what;
+  for (std::size_t i = 0; i < got.jumps().size(); ++i) {
+    EXPECT_EQ(got.jumps()[i].at, want.jumps()[i].at) << what << " jump " << i;
+    EXPECT_EQ(got.jumps()[i].step, want.jumps()[i].step) << what << " jump " << i;
+  }
+}
+
+TEST(MergedScan, PointwiseOperatorsMatchSortedReference) {
+  util::Xoshiro256 rng(1305);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const CurveRef fr = random_curve(rng);
+    const CurveRef gr = random_curve(rng);
+    const Curve& f = *fr;
+    const Curve& g = *gr;
+    const TimeNs horizon = rng.uniform_int(1, 600);
+    const std::string what = "trial " + std::to_string(trial) + " f=" + f.describe() +
+                             " g=" + g.describe();
+    expect_same_staircase(
+        pointwise_min(f, g, horizon),
+        reference_pointwise(f, g, horizon,
+                            [&](TimeNs d) { return std::min(f.value_at(d), g.value_at(d)); }),
+        "min " + what);
+    expect_same_staircase(
+        pointwise_max(f, g, horizon),
+        reference_pointwise(f, g, horizon,
+                            [&](TimeNs d) { return std::max(f.value_at(d), g.value_at(d)); }),
+        "max " + what);
+    expect_same_staircase(
+        pointwise_sum(f, g, horizon),
+        reference_pointwise(f, g, horizon,
+                            [&](TimeNs d) { return f.value_at(d) + g.value_at(d); }),
+        "sum " + what);
+  }
+}
+
+/// A curve whose jump points come back out of order: the merge would skip
+/// candidates, so the scans must refuse it instead.
+class UnorderedCurve final : public Curve {
+ public:
+  [[nodiscard]] Tokens value_at(TimeNs delta) const override { return delta >= 5 ? 2 : 0; }
+  [[nodiscard]] std::vector<TimeNs> jump_points_up_to(TimeNs) const override {
+    return {7, 5};
+  }
+  [[nodiscard]] double long_term_rate() const override { return 0.0; }
+  [[nodiscard]] std::string describe() const override { return "unordered"; }
+  [[nodiscard]] std::unique_ptr<Curve> clone() const override {
+    return std::make_unique<UnorderedCurve>(*this);
+  }
+};
+
+TEST(MergedScan, UnorderedJumpPointsViolateTheContract) {
+  const UnorderedCurve bad;
+  const ZeroCurve zero;
+  EXPECT_THROW((void)sup_difference(bad, zero, 10), util::ContractViolation);
+  EXPECT_THROW((void)first_time_difference_reaches(zero, bad, 1, 10),
+               util::ContractViolation);
+  EXPECT_THROW((void)pointwise_max(bad, zero, 10), util::ContractViolation);
 }
 
 INSTANTIATE_TEST_SUITE_P(
