@@ -6,6 +6,7 @@
 #include <iostream>
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/nreplica.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -48,12 +49,17 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   }
   const auto sizing = ft::analyze_n_replica_network(model, rtc::from_sec(3.0));
 
-  auto& replicator = net.adopt_channel(std::make_unique<ft::NReplicatorChannel>(
-      simulator, "replicator", sizing.replicator_capacity));
-  auto& selector = net.adopt_channel(std::make_unique<ft::NSelectorChannel>(
+  auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
+      simulator, "replicator",
+      ft::ReplicatorChannel::Config{.capacities = sizing.replicator_capacity}));
+  auto& selector = net.adopt_channel(std::make_unique<ft::SelectorChannel>(
       simulator, "selector",
-      ft::NSelectorChannel::Config{sizing.selector_capacity, sizing.selector_initial,
-                                   sizing.divergence_threshold, true}));
+      ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
+                                  .initials = sizing.selector_initial,
+                                  .divergence_threshold = sizing.divergence_threshold,
+                                  .verify_checksums = false}));
+  const ft::DetectionRecorder recorder(
+      simulator.trace(), {replicator.trace_subject(), selector.trace_subject()});
 
   NRunResult result;
   // Shared cost model (cores, MPB bytes, NoC links); the token payload here
@@ -61,14 +67,6 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
   result.cost = ft::replication_cost(sizing, /*token_bytes=*/8);
 
   std::vector<rtc::TimeNs> fault_times;
-  std::vector<std::optional<rtc::TimeNs>> first_detection(
-      static_cast<std::size_t>(n), std::nullopt);
-  auto observer = [&](const ft::NDetectionRecord& r) {
-    auto& slot = first_detection[static_cast<std::size_t>(r.replica)];
-    if (!slot) slot = r.detected_at;
-  };
-  replicator.set_fault_observer(observer);
-  selector.set_fault_observer(observer);
 
   net.add_process("producer", scc::CoreId{0}, seed + 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
@@ -92,12 +90,12 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
           while (true) {
             SCCFT_FAULT_GATE(ctx);
-            kpn::Token token = co_await kpn::read(replicator.read_interface(r));
+            kpn::Token token = co_await kpn::read(replicator.read_interface(ft::ReplicaIndex{r}));
             SCCFT_FAULT_GATE(ctx);
             const rtc::TimeNs t = emit.next_emission(ctx.now());
             if (t > ctx.now()) co_await ctx.compute(t - ctx.now());
             SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(selector.write_interface(r), token);
+            co_await kpn::write(selector.write_interface(ft::ReplicaIndex{r}), token);
             emit.commit(ctx.now());
           }
         }));
@@ -124,14 +122,20 @@ NRunResult run_campaign(int n, std::uint64_t seed) {
     fault_times.push_back(at);
     simulator.schedule_at(at, [&, r] {
       replicas[static_cast<std::size_t>(r)]->context().fault().silenced = true;
-      replicator.freeze_reader(r);
-      selector.freeze_writer(r);
+      replicator.freeze_reader(ft::ReplicaIndex{r});
+      selector.freeze_writer(ft::ReplicaIndex{r});
     });
   }
 
   net.run_until(rtc::from_ms(400.0 + 500.0 * n));
   net.rethrow_failures();
 
+  std::vector<std::optional<rtc::TimeNs>> first_detection(
+      static_cast<std::size_t>(n), std::nullopt);
+  for (const ft::DetectionRecord& record : recorder.log().records) {
+    auto& slot = first_detection[static_cast<std::size_t>(ft::index_of(record.replica))];
+    if (!slot) slot = record.detected_at;
+  }
   for (int r = 0; r + 1 < n; ++r) {
     if (first_detection[static_cast<std::size_t>(r)]) {
       ++result.detections;

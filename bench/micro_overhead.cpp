@@ -38,7 +38,6 @@
 #include "apps/common/generators.hpp"
 #include "bench/campaign.hpp"
 #include "apps/mjpeg/jpeg_codec.hpp"
-#include "ft/nreplica.hpp"
 #include "ft/replicator.hpp"
 #include "ft/selector.hpp"
 #include "kpn/channel.hpp"
@@ -72,7 +71,7 @@ BENCHMARK(BM_PlainFifoWriteRead);
 
 void BM_ReplicatorWriteBothReads(benchmark::State& state) {
   sim::Simulator sim;
-  ft::ReplicatorChannel replicator(sim, "rep", {4, 4, std::nullopt, std::nullopt});
+  ft::ReplicatorChannel replicator(sim, "rep", {{4, 4}});
   auto& r1 = replicator.read_interface(ft::ReplicaIndex::kReplica1);
   auto& r2 = replicator.read_interface(ft::ReplicaIndex::kReplica2);
   const auto token = small_token();
@@ -89,10 +88,7 @@ void BM_SelectorPairArbitration(benchmark::State& state) {
   sim::Simulator sim;
   ft::SelectorChannel selector(
       sim, "sel",
-      {.capacity1 = 8, .capacity2 = 8, .initial1 = 2, .initial2 = 2,
-       .divergence_threshold = 1'000'000,
-       .link1 = std::nullopt,
-       .link2 = std::nullopt});
+      {.capacities = {8, 8}, .initials = {2, 2}, .divergence_threshold = 1'000'000});
   auto& w1 = selector.write_interface(ft::ReplicaIndex::kReplica1);
   auto& w2 = selector.write_interface(ft::ReplicaIndex::kReplica2);
   const auto token = small_token();
@@ -139,15 +135,17 @@ BENCHMARK(BM_DetectionLatencyBound)->Unit(benchmark::kMicrosecond);
 void BM_NReplicaSelectorArbitration(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim;
-  ft::NSelectorChannel selector(
+  ft::SelectorChannel selector(
       sim, "nsel",
-      {std::vector<rtc::Tokens>(n, 8), std::vector<rtc::Tokens>(n, 2), 1'000'000,
-       true});
+      {.capacities = std::vector<rtc::Tokens>(n, 8),
+       .initials = std::vector<rtc::Tokens>(n, 2),
+       .divergence_threshold = 1'000'000,
+       .verify_checksums = false});
   const auto token = small_token();
   std::uint64_t seq = 0;
   for (auto _ : state) {
     for (std::size_t r = 0; r < n; ++r) {
-      benchmark::DoNotOptimize(selector.write_interface(static_cast<int>(r))
+      benchmark::DoNotOptimize(selector.write_interface(ft::ReplicaIndex{static_cast<int>(r)})
                                    .try_write(token.restamped(seq, 0)));
     }
     benchmark::DoNotOptimize(selector.try_read());

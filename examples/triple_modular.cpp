@@ -1,12 +1,14 @@
 // Example: the paper's n-fault generalization in action — three replicas
 // tolerating TWO sequential permanent timing faults.
 //
-// Builds a 3-replica pipeline with the N-replica channels (ft/nreplica.hpp),
+// Builds a 3-replica pipeline with 3-wide replicator/selector channels sized
+// by the N-replica analysis (ft/nreplica.hpp),
 // kills replica 0 at t = 400 ms and replica 1 at t = 900 ms, and shows the
 // consumer's stream surviving both failovers without a gap.
 #include <iostream>
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/nreplica.hpp"
 #include "kpn/network.hpp"
 #include "kpn/timing.hpp"
@@ -42,17 +44,18 @@ int main() {
   for (auto c : sizing.selector_capacity) std::cout << " " << c;
   std::cout << " }, D = " << sizing.divergence_threshold << "\n";
 
-  auto& replicator = net.adopt_channel(std::make_unique<ft::NReplicatorChannel>(
-      simulator, "tmr.replicator", sizing.replicator_capacity));
-  auto& selector = net.adopt_channel(std::make_unique<ft::NSelectorChannel>(
+  auto& replicator = net.adopt_channel(std::make_unique<ft::ReplicatorChannel>(
+      simulator, "tmr.replicator",
+      ft::ReplicatorChannel::Config{.capacities = sizing.replicator_capacity}));
+  auto& selector = net.adopt_channel(std::make_unique<ft::SelectorChannel>(
       simulator, "tmr.selector",
-      ft::NSelectorChannel::Config{sizing.selector_capacity, sizing.selector_initial,
-                                   sizing.divergence_threshold, true}));
-
-  std::vector<ft::NDetectionRecord> detections;
-  auto observer = [&](const ft::NDetectionRecord& r) { detections.push_back(r); };
-  replicator.set_fault_observer(observer);
-  selector.set_fault_observer(observer);
+      ft::SelectorChannel::Config{.capacities = sizing.selector_capacity,
+                                  .initials = sizing.selector_initial,
+                                  .divergence_threshold = sizing.divergence_threshold,
+                                  .verify_checksums = false}));
+  const ft::DetectionRecorder recorder(
+      simulator.trace(), {replicator.trace_subject(), selector.trace_subject()});
+  const std::vector<ft::DetectionRecord>& detections = recorder.log().records;
 
   net.add_process("producer", scc::CoreId{0}, 1,
                   [&](kpn::ProcessContext& ctx) -> sim::Task {
@@ -77,13 +80,13 @@ int main() {
           kpn::TimingShaper emit(pjd, 0, ctx.rng());
           while (true) {
             SCCFT_FAULT_GATE(ctx);
-            kpn::Token token = co_await kpn::read(replicator.read_interface(r));
+            kpn::Token token = co_await kpn::read(replicator.read_interface(ft::ReplicaIndex{r}));
             SCCFT_FAULT_GATE(ctx);
             co_await ctx.compute(rtc::from_us(300));
             const rtc::TimeNs t = emit.next_emission(ctx.now());
             if (t > ctx.now()) co_await ctx.compute(t - ctx.now());
             SCCFT_FAULT_GATE(ctx);
-            co_await kpn::write(selector.write_interface(r),
+            co_await kpn::write(selector.write_interface(ft::ReplicaIndex{r}),
                                 token.restamped(token.seq(), ctx.now()));
             emit.commit(ctx.now());
           }
@@ -111,8 +114,8 @@ int main() {
   auto kill = [&](int r, rtc::TimeNs at) {
     simulator.schedule_at(at, [&, r] {
       replicas[static_cast<std::size_t>(r)]->context().fault().silenced = true;
-      replicator.freeze_reader(r);
-      selector.freeze_writer(r);
+      replicator.freeze_reader(ft::ReplicaIndex{r});
+      selector.freeze_writer(ft::ReplicaIndex{r});
     });
   };
   kill(0, rtc::from_ms(400.0));
@@ -122,7 +125,7 @@ int main() {
 
   std::cout << "Faults injected at 400 ms (replica 0) and 900 ms (replica 1).\n";
   for (const auto& d : detections) {
-    std::cout << "Detected replica " << d.replica << " via " << to_string(d.rule)
+    std::cout << "Detected replica " << ft::index_of(d.replica) << " via " << to_string(d.rule)
               << " at " << rtc::to_ms(d.detected_at) << " ms\n";
   }
   std::cout << "Consumer received " << received << " tokens, in order, "

@@ -129,17 +129,17 @@ std::vector<Violation> check_invariants(const StormPlan& plan,
   // stall, divergence, CRC, or vote verdict against an untouched replica is
   // a framework bug either way).
   if (!noc_in_plan) {
-    for (const ft::NDetectionRecord& detection : obs.n_detections) {
+    for (const ft::DetectionRecord& detection : obs.n_detections) {
       const bool justified = std::any_of(
           obs.injections.begin(), obs.injections.end(),
           [&](const ft::FaultInjectionRecord& record) {
             return !ft::is_control_plane(record.kind) &&
-                   record.victim == detection.replica &&
+                   record.victim == ft::index_of(detection.replica) &&
                    record.at <= detection.detected_at;
           });
       if (!justified) {
         flag(ViolationCode::kUnjustifiedConviction,
-             "replica " + std::to_string(detection.replica + 1) +
+             "replica " + std::to_string(ft::index_of(detection.replica) + 1) +
                  " convicted by rule " + ft::to_string(detection.rule) + " at " +
                  std::to_string(detection.detected_at) +
                  " ns with no fault against it");

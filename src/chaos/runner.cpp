@@ -83,7 +83,7 @@ std::string RunObservation::render_flight_csv() const {
 namespace {
 
 /// The N-replica soak rig (RunOptions::nreplica >= 3): producer ->
-/// NReplicatorChannel -> N replicas -> NSelectorChannel (payload vote + CRC
+/// ReplicatorChannel -> N replicas -> SelectorChannel (payload vote + CRC
 /// verify) -> consumer. Deliberately unsupervised: no restart path exists, so
 /// every verdict the observation carries was reached by the channels' own
 /// rules (a)/(b)/(c)/vote — the property the N-oracles then check against
@@ -141,7 +141,7 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
                     }
                   });
 
-  auto replica_body = [&](int which, rtc::PJD model) {
+  auto replica_body = [&](ft::ReplicaIndex which, rtc::PJD model) {
     return [&harness, which, model](kpn::ProcessContext& ctx) -> sim::Task {
       kpn::TimingShaper emit(model, ctx.now(), ctx.rng());
       rtc::TimeNs last_emit = -1;
@@ -170,7 +170,7 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
     replica_groups.push_back({&net.add_process(
         "r" + std::to_string(i + 1), scc::CoreId{2 * (i + 1)},
         seed * 10 + 2 + static_cast<std::uint64_t>(i),
-        replica_body(i, config.replica_out[static_cast<std::size_t>(i)]))});
+        replica_body(ft::ReplicaIndex{i}, config.replica_out[static_cast<std::size_t>(i)]))});
   }
 
   net.add_process(
@@ -191,9 +191,9 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
       });
 
   ft::FaultCampaign::Wiring wiring;
-  wiring.nreplicator = &harness.replicator();
-  wiring.nselector = &harness.selector();
-  wiring.nprocesses = replica_groups;
+  wiring.replicator = &harness.replicator();
+  wiring.selector = &harness.selector();
+  wiring.processes = replica_groups;
   ft::FaultCampaign campaign(simulator, wiring);
   for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
   campaign.arm();
@@ -206,7 +206,7 @@ RunObservation run_storm_n(const StormPlan& plan, const RunOptions& options) {
 
   simulator.trace().flush();
   obs.injections = campaign.injections();
-  obs.n_detections = harness.detections();
+  obs.n_detections = harness.detections().records;
   obs.vote_conflicts = harness.selector().vote_conflicts();
   obs.votes_outvoted = harness.selector().votes_outvoted();
   obs.events_processed = simulator.events_processed();
@@ -452,8 +452,7 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   ft::FaultCampaign::Wiring wiring;
   wiring.replicator = &harness.replicator();
   wiring.selector = &harness.selector();
-  wiring.processes[0] = {replicas[0]};
-  wiring.processes[1] = {replicas[1]};
+  wiring.processes = {{replicas[0]}, {replicas[1]}};
   if (with_noc) wiring.noc = &platform->noc();
   // Control-plane targets are wired unconditionally: a storm may attack the
   // protection machinery whether or not the defenses are armed — that
@@ -464,9 +463,6 @@ RunObservation run_storm(const StormPlan& plan, const RunOptions& options) {
   if (reconfigurator) wiring.scrubbables.push_back(&*reconfigurator);
   wiring.flight_ring = &ring;
   ft::FaultCampaign campaign(simulator, wiring);
-  campaign.set_injection_listener([&](const ft::FaultInjectionRecord& rec) {
-    supervisor.note_fault_injected(rec.replica, rec.at);
-  });
   for (const ft::FaultSpec& spec : plan.faults) campaign.add(spec);
   campaign.arm();
 

@@ -97,7 +97,7 @@ struct RunOptions {
   ReconfigOptions reconfig;
   /// Replica count of the rig. 2 = the classic supervised duplicated network
   /// (byte-identical to the historical path). >= 3 switches to the N-replica
-  /// rig: producer -> NReplicatorChannel -> N replicas -> NSelectorChannel
+  /// rig: producer -> ReplicatorChannel -> N replicas -> SelectorChannel
   /// (payload vote + CRC verify armed) -> consumer, with NO supervisor —
   /// detection and masking are the channels' job alone, which is exactly what
   /// the N-soak is meant to stress. Storm plans must then carry data-path
@@ -158,7 +158,7 @@ struct RunObservation {
   // --- N-replica rig (RunOptions::nreplica >= 3) ---------------------------
   int nreplica = 2;                       ///< options echoed
   /// Channel convictions (replicator + selector), in conviction order.
-  std::vector<ft::NDetectionRecord> n_detections;
+  std::vector<ft::DetectionRecord> n_detections;
   std::uint64_t vote_conflicts = 0;       ///< majority-less resolved groups
   std::uint64_t votes_outvoted = 0;       ///< dissenting arrivals out-voted
 

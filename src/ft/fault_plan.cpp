@@ -213,36 +213,22 @@ std::vector<FaultSpec> parse_fault_plan(const std::string& text) {
   return plan;
 }
 
-FaultCampaign::FaultCampaign(sim::Simulator& sim, Wiring wiring,
-                             std::string subject_name)
-    : sim_(sim),
-      wiring_(std::move(wiring)),
-      subject_(sim.trace().intern(subject_name)),
-      adapter_(*this) {
-  const bool pair_wired =
-      wiring_.replicator != nullptr && wiring_.selector != nullptr;
-  const bool n_wired =
-      wiring_.nreplicator != nullptr && wiring_.nselector != nullptr;
-  SCCFT_EXPECTS(pair_wired != n_wired);  // exactly one channel family
-  if (n_wired) {
-    SCCFT_EXPECTS(wiring_.nreplicator->replica_count() ==
-                  wiring_.nselector->replica_count());
-    SCCFT_EXPECTS(static_cast<int>(wiring_.nprocesses.size()) ==
-                  wiring_.nselector->replica_count());
-  }
-  sim_.trace().subscribe(&adapter_, trace::bit(trace::EventKind::kInjection));
+namespace {
+
+[[nodiscard]] ReplicaIndex victim_of(const FaultSpec& spec) {
+  return ReplicaIndex{victim_index(spec)};
 }
 
-FaultCampaign::~FaultCampaign() { sim_.trace().unsubscribe(&adapter_); }
+}  // namespace
 
-void FaultCampaign::InjectionAdapter::on_event(const trace::Event& event) {
-  if (event.subject != owner_.subject_) return;
-  if (!owner_.listener_) return;
-  const int victim = static_cast<int>(event.b);
-  owner_.listener_(FaultInjectionRecord{
-      static_cast<FaultKind>(event.a),
-      victim == 1 ? ReplicaIndex::kReplica2 : ReplicaIndex::kReplica1,
-      event.time, victim});
+FaultCampaign::FaultCampaign(sim::Simulator& sim, Wiring wiring,
+                             std::string subject_name)
+    : sim_(sim), wiring_(std::move(wiring)), subject_(sim.trace().intern(subject_name)) {
+  SCCFT_EXPECTS(wiring_.replicator != nullptr && wiring_.selector != nullptr);
+  const int n = wiring_.selector->replica_count();
+  SCCFT_EXPECTS(wiring_.replicator->replica_count() == n);
+  SCCFT_EXPECTS(static_cast<int>(wiring_.processes.size()) <= n);
+  wiring_.processes.resize(static_cast<std::size_t>(n));
 }
 
 void FaultCampaign::add(FaultSpec spec) {
@@ -250,7 +236,7 @@ void FaultCampaign::add(FaultSpec spec) {
   SCCFT_EXPECTS(spec.at >= 0);
   SCCFT_EXPECTS(spec.victim >= 0);
   if (!is_control_plane(spec.kind) && spec.kind != FaultKind::kNocLink) {
-    SCCFT_EXPECTS(victim_index(spec) < replica_count());
+    SCCFT_EXPECTS(victim_index(spec) < wiring_.selector->replica_count());
   }
   switch (spec.kind) {
     case FaultKind::kPermanentSilence:
@@ -355,21 +341,11 @@ void FaultCampaign::arm_spec(ArmedSpec& armed) {
           const auto bit = static_cast<std::size_t>(armed.rng.next());
           return silent ? token.silently_corrupted(bit) : token.corrupted(bit);
         };
-        if (n_mode()) {
-          wiring_.nselector->set_write_tamper(victim_index(armed.spec),
-                                              std::move(tamper));
-        } else {
-          wiring_.selector->set_write_tamper(armed.spec.replica,
-                                             std::move(tamper));
-        }
+        wiring_.selector->set_write_tamper(victim_of(armed.spec), std::move(tamper));
       });
       if (spec.duration > 0) {
         sim_.schedule_at(spec.at + spec.duration, [this, &armed] {
-          if (n_mode()) {
-            wiring_.nselector->set_write_tamper(victim_index(armed.spec), nullptr);
-          } else {
-            wiring_.selector->set_write_tamper(armed.spec.replica, nullptr);
-          }
+          wiring_.selector->set_write_tamper(victim_of(armed.spec), nullptr);
         });
       }
       break;
@@ -471,13 +447,8 @@ void FaultCampaign::begin_silence(const FaultSpec& spec, rtc::TimeNs until) {
   // instant even for a process currently parked inside a channel await.
   // Handles are retained (see freeze_reader/freeze_writer): end_silence
   // resumes them.
-  if (n_mode()) {
-    wiring_.nreplicator->freeze_reader(victim_index(spec));
-    wiring_.nselector->freeze_writer(victim_index(spec));
-  } else {
-    wiring_.replicator->freeze_reader(spec.replica);
-    wiring_.selector->freeze_writer(spec.replica);
-  }
+  wiring_.replicator->freeze_reader(victim_of(spec));
+  wiring_.selector->freeze_writer(victim_of(spec));
 }
 
 void FaultCampaign::end_silence(const FaultSpec& spec) {
@@ -485,13 +456,8 @@ void FaultCampaign::end_silence(const FaultSpec& spec) {
     // Idempotent: the process's own fault gate may have cleared it already.
     victim->context().fault().clear_silence();
   }
-  if (n_mode()) {
-    wiring_.nreplicator->unfreeze_reader(victim_index(spec));
-    wiring_.nselector->unfreeze_writer(victim_index(spec));
-  } else {
-    wiring_.replicator->unfreeze_reader(spec.replica);
-    wiring_.selector->unfreeze_writer(spec.replica);
-  }
+  wiring_.replicator->unfreeze_reader(victim_of(spec));
+  wiring_.selector->unfreeze_writer(victim_of(spec));
 }
 
 void FaultCampaign::schedule_burst(ArmedSpec& armed, rtc::TimeNs at) {
@@ -522,9 +488,8 @@ void FaultCampaign::schedule_burst(ArmedSpec& armed, rtc::TimeNs at) {
 void FaultCampaign::record(const FaultSpec& spec, rtc::TimeNs at) {
   injections_.push_back(
       FaultInjectionRecord{spec.kind, spec.replica, at, victim_index(spec)});
-  // The activation travels the bus: the InjectionAdapter replays it to the
-  // registered listener, and the supervisor's own subscription timestamps
-  // its detection-latency sample without any manual wiring.
+  // The activation travels the bus: the supervisor's own subscription
+  // timestamps its detection-latency sample without any manual wiring.
   sim_.trace().emit(trace::EventKind::kInjection, subject_, at,
                     static_cast<std::int64_t>(spec.kind), victim_index(spec));
 }

@@ -38,13 +38,10 @@
 // campaign is bit-reproducible.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "ft/nreplica.hpp"
 #include "ft/replicator.hpp"
 #include "ft/scrub.hpp"
 #include "ft/selector.hpp"
@@ -186,23 +183,16 @@ struct FaultInjectionRecord {
 /// (ft/supervisor.hpp) is what keeps the system live across them.
 class FaultCampaign final {
  public:
-  /// The campaign's handles into the system under test. Exactly one of the
-  /// two channel pairs must be wired: the classic 2-replica pair
-  /// (replicator/selector + processes) or the N-replica pair
-  /// (nreplicator/nselector + nprocesses); data-path faults then resolve
-  /// their victim via victim_index(spec).
+  /// The campaign's handles into the system under test: one replicator/
+  /// selector pair of any width N >= 2. Data-path faults resolve their
+  /// victim via victim_index(spec).
   struct Wiring {
     ReplicatorChannel* replicator = nullptr;
     SelectorChannel* selector = nullptr;
-    /// Per-replica process lists (index 0 = kReplica1). Silence and rate
-    /// faults touch every process of the victim replica.
-    std::array<std::vector<kpn::Process*>, 2> processes;
-    /// N-replica wiring (mutually exclusive with replicator/selector).
-    NReplicatorChannel* nreplicator = nullptr;
-    NSelectorChannel* nselector = nullptr;
-    /// Per-replica process lists for the N-replica wiring (size must match
-    /// the channels' replica_count()).
-    std::vector<std::vector<kpn::Process*>> nprocesses;
+    /// Per-replica process lists (index i = ReplicaIndex{i}; at most N
+    /// entries, missing ones are empty). Silence and rate faults touch every
+    /// process of the victim replica.
+    std::vector<std::vector<kpn::Process*>> processes;
     scc::NocModel* noc = nullptr;  ///< required only for kNocLink specs
     /// Control-plane targets. Required only for the matching kinds:
     Supervisor* supervisor = nullptr;  ///< kSupervisorHang
@@ -212,23 +202,19 @@ class FaultCampaign final {
     trace::RingBufferSink* flight_ring = nullptr;  ///< kTraceSinkStuck
   };
 
-  /// Invoked at every fault activation (before its effects apply), so a
-  /// supervisor can timestamp injections for detection-latency accounting.
-  using InjectionListener = std::function<void(const FaultInjectionRecord&)>;
-
   /// `subject_name` is the trace subject activations are emitted under —
   /// fleets give each stream's campaign a distinct name so supervisors can
   /// filter injections to their own stream (Supervisor::Config's
   /// injection_subject).
   FaultCampaign(sim::Simulator& sim, Wiring wiring,
                 std::string subject_name = "fault-campaign");
-  ~FaultCampaign();
 
   FaultCampaign(const FaultCampaign&) = delete;
   FaultCampaign& operator=(const FaultCampaign&) = delete;
 
   /// Subject under which activations appear on the trace bus (kInjection,
-  /// a = FaultKind, b = victim replica index).
+  /// a = FaultKind, b = victim replica index), before their effects apply —
+  /// a Supervisor timestamps its detection-latency samples from these.
   [[nodiscard]] trace::SubjectId trace_subject() const { return subject_; }
 
   /// Adds a fault to the campaign. Must be called before arm().
@@ -236,10 +222,6 @@ class FaultCampaign final {
 
   /// Schedules every added fault. Call once, before or during the run.
   void arm();
-
-  void set_injection_listener(InjectionListener listener) {
-    listener_ = std::move(listener);
-  }
 
   [[nodiscard]] bool armed() const { return armed_; }
   [[nodiscard]] const std::vector<FaultInjectionRecord>& injections() const {
@@ -256,18 +238,6 @@ class FaultCampaign final {
     explicit ArmedSpec(const FaultSpec& s) : spec(s), rng(s.seed) {}
   };
 
-  /// Thin adapter keeping the InjectionListener API source-compatible:
-  /// activations travel the bus as kInjection events; this sink filters for
-  /// the campaign's subject and replays them to the registered listener.
-  class InjectionAdapter final : public trace::Sink {
-   public:
-    explicit InjectionAdapter(FaultCampaign& owner) : owner_(owner) {}
-    void on_event(const trace::Event& event) override;
-
-   private:
-    FaultCampaign& owner_;
-  };
-
   void arm_spec(ArmedSpec& armed);
   void begin_silence(const FaultSpec& spec, rtc::TimeNs until);
   void end_silence(const FaultSpec& spec);
@@ -275,13 +245,8 @@ class FaultCampaign final {
   void schedule_flip(ArmedSpec& armed, rtc::TimeNs at, int flip_index);
   void record(const FaultSpec& spec, rtc::TimeNs at);
 
-  [[nodiscard]] bool n_mode() const { return wiring_.nselector != nullptr; }
-  [[nodiscard]] int replica_count() const {
-    return n_mode() ? wiring_.nselector->replica_count() : 2;
-  }
   [[nodiscard]] std::vector<kpn::Process*>& victims(const FaultSpec& spec) {
-    const auto v = static_cast<std::size_t>(victim_index(spec));
-    return n_mode() ? wiring_.nprocesses[v] : wiring_.processes[v];
+    return wiring_.processes[static_cast<std::size_t>(victim_index(spec))];
   }
 
   sim::Simulator& sim_;
@@ -290,9 +255,7 @@ class FaultCampaign final {
   std::vector<FaultSpec> pending_;
   std::vector<ArmedSpec> armed_specs_;
   bool armed_ = false;
-  InjectionListener listener_;
   std::vector<FaultInjectionRecord> injections_;
-  InjectionAdapter adapter_;
 };
 
 }  // namespace sccft::ft

@@ -311,17 +311,17 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
             placement.process_to_core[process_cursor + 1 +
                                       static_cast<std::size_t>(r)],
             s.seed * 10 + 2 + static_cast<std::uint64_t>(r),
-            [harness, s, r](kpn::ProcessContext& ctx) -> sim::Task {
+            [harness, s, replica = ReplicaIndex{r}](kpn::ProcessContext& ctx) -> sim::Task {
               kpn::TimingShaper emit(s.stage, ctx.now(), ctx.rng());
               while (true) {
                 SCCFT_FAULT_GATE(ctx);
                 kpn::Token token =
-                    co_await kpn::read(harness->replicator().read_interface(r));
+                    co_await kpn::read(harness->replicator().read_interface(replica));
                 SCCFT_FAULT_GATE(ctx);
                 const rtc::TimeNs target = emit.next_emission(ctx.now());
                 if (target > ctx.now()) co_await ctx.compute(target - ctx.now());
                 SCCFT_FAULT_GATE(ctx);
-                co_await kpn::write(harness->selector().write_interface(r),
+                co_await kpn::write(harness->selector().write_interface(replica),
                                     token);
                 emit.commit(ctx.now());
               }
@@ -349,9 +349,9 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
 
       if (options.inject_faults) {
         FaultCampaign::Wiring wiring;
-        wiring.nreplicator = &harness->replicator();
-        wiring.nselector = &harness->selector();
-        wiring.nprocesses = std::move(replica_processes);
+        wiring.replicator = &harness->replicator();
+        wiring.selector = &harness->selector();
+        wiring.processes = std::move(replica_processes);
         campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
                                                        tag + ".faults");
         FaultSpec fault;
@@ -453,8 +453,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
         FaultCampaign::Wiring wiring;
         wiring.replicator = &harness->replicator();
         wiring.selector = &harness->selector();
-        wiring.processes[0] = {r1};
-        wiring.processes[1] = {r2};
+        wiring.processes = {{r1}, {r2}};
         campaigns[i] = std::make_unique<FaultCampaign>(simulator, wiring,
                                                        tag + ".faults");
         FaultSpec fault;
@@ -583,8 +582,8 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& options) 
       NReplicaHarness* harness = vote_harnesses[i].get();
       outcome.detection_bound = std::min(sizing.vote.replicator_overflow_bound,
                                          sizing.vote.selector_latency_bound);
-      for (const NDetectionRecord& record : harness->detections()) {
-        if (record.replica == 0) {
+      for (const DetectionRecord& record : harness->detections().records) {
+        if (record.replica == ReplicaIndex::kReplica1) {
           outcome.detected = true;
           if (!outcome.detection_latency) {
             outcome.detection_latency = record.detected_at - options.fault_at;

@@ -61,6 +61,23 @@ std::optional<DetectionRecord> DetectionLog::first_selector() const {
   return std::nullopt;
 }
 
+DetectionRecorder::DetectionRecorder(trace::TraceBus& bus,
+                                     std::vector<trace::SubjectId> subjects)
+    : bus_(bus), subjects_(std::move(subjects)) {
+  bus_.subscribe(this, trace::bit(trace::EventKind::kDetection));
+}
+
+DetectionRecorder::~DetectionRecorder() { bus_.unsubscribe(this); }
+
+void DetectionRecorder::on_event(const trace::Event& event) {
+  if (std::find(subjects_.begin(), subjects_.end(), event.subject) == subjects_.end()) {
+    return;
+  }
+  log_.records.push_back(DetectionRecord{ReplicaIndex{static_cast<int>(event.a)},
+                                         static_cast<DetectionRule>(event.b),
+                                         event.time});
+}
+
 FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config)
     : FaultTolerantHarness(network, config, config.timing.analyze()) {}
 
@@ -90,42 +107,37 @@ FaultTolerantHarness::FaultTolerantHarness(kpn::Network& network, Config config,
     return kpn::FifoChannel::LinkModel{&config.platform->noc(), src, dst};
   };
 
+  const auto replicator_capacity = [&](rtc::Tokens analyzed) {
+    return config.replicator_capacity_override > 0 ? config.replicator_capacity_override
+                                                   : analyzed;
+  };
   ReplicatorChannel::Config replicator_config{
-      .capacity1 = config.replicator_capacity_override > 0
-                       ? config.replicator_capacity_override
-                       : sizing_.replicator_capacity1,
-      .capacity2 = config.replicator_capacity_override > 0
-                       ? config.replicator_capacity_override
-                       : sizing_.replicator_capacity2,
-      .link1 = link(config.producer_core, config.replica1_in_core),
-      .link2 = link(config.producer_core, config.replica2_in_core)};
+      .capacities = {replicator_capacity(sizing_.replicator_capacity1),
+                     replicator_capacity(sizing_.replicator_capacity2)},
+      .links = {link(config.producer_core, config.replica1_in_core),
+                link(config.producer_core, config.replica2_in_core)}};
   replicator_ = &network.adopt_channel(std::make_unique<ReplicatorChannel>(
       network.simulator(), config.name_prefix + ".replicator", replicator_config));
 
   SelectorChannel::Config selector_config{
-      .capacity1 = sizing_.selector_capacity1,
-      .capacity2 = sizing_.selector_capacity2,
-      .initial1 = sizing_.selector_initial1,
-      .initial2 = sizing_.selector_initial2,
+      .capacities = {sizing_.selector_capacity1, sizing_.selector_capacity2},
+      .initials = {sizing_.selector_initial1, sizing_.selector_initial2},
       .divergence_threshold = config.divergence_threshold_override > 0
                                   ? config.divergence_threshold_override
                                   : sizing_.selector_threshold,
       .enable_stall_rule = config.enable_selector_stall_rule,
       .verify_checksums = config.verify_selector_checksums,
       .corruption_conviction_threshold = config.corruption_conviction_threshold,
-      .link1 = link(config.replica1_out_core, config.consumer_core),
-      .link2 = link(config.replica2_out_core, config.consumer_core)};
+      .links = {link(config.replica1_out_core, config.consumer_core),
+                link(config.replica2_out_core, config.consumer_core)}};
   selector_ = &network.adopt_channel(std::make_unique<SelectorChannel>(
       network.simulator(), config.name_prefix + ".selector", selector_config));
   if (config.preload_initial_tokens) {
     selector_->preload_initial_tokens(config.initial_token);
   }
 
-  auto observer = [this](const DetectionRecord& record) {
-    log_.records.push_back(record);
-  };
-  replicator_->add_fault_observer(observer);
-  selector_->add_fault_observer(observer);
+  recorder_.emplace(network.simulator().trace(),
+                    std::vector{replicator_->trace_subject(), selector_->trace_subject()});
 }
 
 rtc::TimeNs NReplicaHarness::Config::default_horizon() const {
@@ -174,11 +186,11 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config,
   SCCFT_EXPECTS(sizing_.selector_capacity.size() == config.replica_in.size());
   SCCFT_EXPECTS(sizing_.selector_initial.size() == config.replica_in.size());
 
-  replicator_ = &network.adopt_channel(std::make_unique<NReplicatorChannel>(
+  replicator_ = &network.adopt_channel(std::make_unique<ReplicatorChannel>(
       network.simulator(), config.name_prefix + ".replicator",
-      sizing_.replicator_capacity));
+      ReplicatorChannel::Config{.capacities = sizing_.replicator_capacity}));
 
-  NSelectorChannel::Config selector_config;
+  SelectorChannel::Config selector_config;
   selector_config.capacities = sizing_.selector_capacity;
   selector_config.initials = sizing_.selector_initial;
   selector_config.divergence_threshold = sizing_.divergence_threshold;
@@ -189,7 +201,7 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config,
   selector_config.enable_payload_vote = config.enable_payload_vote;
   if (config.enable_payload_vote) {
     // Vote mode requires every side's usable space (capacity - initial) to
-    // exceed D (see NSelectorChannel): while a group is blocked on a silent
+    // exceed D (see SelectorChannel::Config): while a group is blocked on a silent
     // peer, the consumer drains nothing, so a healthy leader must be able to
     // write its way to the rule (b) verdict on space alone. Grow the FIFOs,
     // never weaken the threshold.
@@ -199,31 +211,27 @@ NReplicaHarness::NReplicaHarness(kpn::Network& network, Config config,
                    selector_config.initials[i] + sizing_.divergence_threshold + 1);
     }
   }
-  selector_ = &network.adopt_channel(std::make_unique<NSelectorChannel>(
+  selector_ = &network.adopt_channel(std::make_unique<SelectorChannel>(
       network.simulator(), config.name_prefix + ".selector",
       std::move(selector_config)));
-
-  auto observer = [this](const NDetectionRecord& record) {
-    detections_.push_back(record);
-  };
-  replicator_->set_fault_observer(observer);
-  selector_->set_fault_observer(observer);
+  recorder_.emplace(network.simulator().trace(),
+                    std::vector{replicator_->trace_subject(), selector_->trace_subject()});
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::first_detection_latency() const {
-  const auto record = log_.first();
+  const auto record = detections().first();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::replicator_detection_latency() const {
-  const auto record = log_.first_replicator();
+  const auto record = detections().first_replicator();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }
 
 std::optional<rtc::TimeNs> FaultTolerantHarness::selector_detection_latency() const {
-  const auto record = log_.first_selector();
+  const auto record = detections().first_selector();
   if (!record || injector_.injected_at() < 0) return std::nullopt;
   return record->detected_at - injector_.injected_at();
 }

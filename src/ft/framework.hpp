@@ -22,6 +22,7 @@
 #include "rtc/pjd.hpp"
 #include "rtc/sizing.hpp"
 #include "scc/platform.hpp"
+#include "trace/bus.hpp"
 
 namespace sccft::ft {
 
@@ -55,6 +56,27 @@ struct DetectionLog {
   [[nodiscard]] std::optional<DetectionRecord> first() const;
   [[nodiscard]] std::optional<DetectionRecord> first_replicator() const;
   [[nodiscard]] std::optional<DetectionRecord> first_selector() const;
+};
+
+/// Fills a DetectionLog from the trace bus: every kDetection verdict emitted
+/// under one of `subjects` (typically a replicator's and a selector's
+/// trace_subject()), in emission order. Verdicts have no other path out of
+/// the channels; subscribe a recorder before any Supervisor so a log is
+/// complete by the time the supervisor acts on the same event.
+class DetectionRecorder final : public trace::Sink {
+ public:
+  DetectionRecorder(trace::TraceBus& bus, std::vector<trace::SubjectId> subjects);
+  ~DetectionRecorder() override;
+  DetectionRecorder(const DetectionRecorder&) = delete;
+  DetectionRecorder& operator=(const DetectionRecorder&) = delete;
+
+  void on_event(const trace::Event& event) override;
+  [[nodiscard]] const DetectionLog& log() const { return log_; }
+
+ private:
+  trace::TraceBus& bus_;
+  std::vector<trace::SubjectId> subjects_;
+  DetectionLog log_;
 };
 
 /// Builds the dimensioned replicator + selector pair inside a network and
@@ -102,7 +124,7 @@ class FaultTolerantHarness final {
   [[nodiscard]] const rtc::SizingReport& sizing() const { return sizing_; }
   [[nodiscard]] ReplicatorChannel& replicator() { return *replicator_; }
   [[nodiscard]] SelectorChannel& selector() { return *selector_; }
-  [[nodiscard]] const DetectionLog& detections() const { return log_; }
+  [[nodiscard]] const DetectionLog& detections() const { return recorder_->log(); }
   [[nodiscard]] FaultInjector& injector() { return injector_; }
 
   /// Latency of the first detection relative to the injected fault, if both
@@ -115,14 +137,14 @@ class FaultTolerantHarness final {
   rtc::SizingReport sizing_;
   ReplicatorChannel* replicator_ = nullptr;
   SelectorChannel* selector_ = nullptr;
-  DetectionLog log_;
+  std::optional<DetectionRecorder> recorder_;  ///< engaged once the channels exist
   FaultInjector injector_;
 };
 
 /// N-replica facade: per-replica timing models in, a correctly-dimensioned
-/// NReplicatorChannel + NSelectorChannel pair out (the per-replica Eq. (3)-(5)
-/// application of nreplica.hpp), with the channels' detections aggregated
-/// chronologically. The N-ary sibling of FaultTolerantHarness; used by the
+/// ReplicatorChannel + SelectorChannel pair of width N out (the per-replica
+/// Eq. (3)-(5) application of nreplica.hpp), with the channels' detections
+/// aggregated chronologically. The N-ary sibling of FaultTolerantHarness; used by the
 /// chaos soak's --nreplica rig, the fleet's mixed-protection streams, and the
 /// vulnerability profiler's evaluation runs.
 class NReplicaHarness final {
@@ -137,7 +159,7 @@ class NReplicaHarness final {
     /// Detection rule (c): CRC-verify arrivals at the selector.
     bool verify_checksums = true;
     int corruption_conviction_threshold = 3;
-    /// Majority-vote delivery (see NSelectorChannel::Config): N >= 3 masks a
+    /// Majority-vote delivery (see SelectorChannel::Config): N >= 3 masks a
     /// single silently-corrupted replica; N = 2 detects the conflict only.
     bool enable_payload_vote = false;
 
@@ -157,18 +179,16 @@ class NReplicaHarness final {
 
   [[nodiscard]] int replica_count() const { return replicator_->replica_count(); }
   [[nodiscard]] const NSizingReport& sizing() const { return sizing_; }
-  [[nodiscard]] NReplicatorChannel& replicator() { return *replicator_; }
-  [[nodiscard]] NSelectorChannel& selector() { return *selector_; }
+  [[nodiscard]] ReplicatorChannel& replicator() { return *replicator_; }
+  [[nodiscard]] SelectorChannel& selector() { return *selector_; }
   /// Channel detections (both channels), in conviction order.
-  [[nodiscard]] const std::vector<NDetectionRecord>& detections() const {
-    return detections_;
-  }
+  [[nodiscard]] const DetectionLog& detections() const { return recorder_->log(); }
 
  private:
   NSizingReport sizing_;
-  NReplicatorChannel* replicator_ = nullptr;
-  NSelectorChannel* selector_ = nullptr;
-  std::vector<NDetectionRecord> detections_;
+  ReplicatorChannel* replicator_ = nullptr;
+  SelectorChannel* selector_ = nullptr;
+  std::optional<DetectionRecorder> recorder_;  ///< engaged once the channels exist
 };
 
 }  // namespace sccft::ft

@@ -99,630 +99,4 @@ ReplicationCost unreplicated_cost(rtc::Tokens fifo_capacity,
   return cost;
 }
 
-// ---------------------------------------------------------------------------
-// NReplicatorChannel
-// ---------------------------------------------------------------------------
-
-NReplicatorChannel::NReplicatorChannel(sim::Simulator& sim, std::string name,
-                                       std::vector<rtc::Tokens> capacities)
-    : sim_(sim), name_(std::move(name)) {
-  SCCFT_EXPECTS(capacities.size() >= 2);
-  queues_.resize(capacities.size());
-  for (std::size_t i = 0; i < capacities.size(); ++i) {
-    SCCFT_EXPECTS(capacities[i] > 0);
-    queues_[i].capacity = capacities[i];
-    interfaces_.push_back(std::make_unique<ReadInterface>(*this, static_cast<int>(i)));
-  }
-  // Scrubbable word order (stable, documented in the header). Registered
-  // after the final resize: queues_ never reallocates afterwards.
-  for (Queue& queue : queues_) scrub_set_.add(queue.capacity);
-}
-
-kpn::TokenSource& NReplicatorChannel::read_interface(int replica) {
-  SCCFT_EXPECTS(replica >= 0 && replica < replica_count());
-  return *interfaces_[static_cast<std::size_t>(replica)];
-}
-
-bool NReplicatorChannel::try_write(const kpn::Token& token) {
-  // Overflow rule per queue (Section 3.3, generalized).
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    Queue& queue = queues_[i];
-    if (!queue.fault &&
-        static_cast<rtc::Tokens>(queue.slots.size()) >= queue.capacity) {
-      declare_fault(static_cast<int>(i));
-    }
-  }
-  bool any_healthy = false;
-  for (Queue& queue : queues_) {
-    if (queue.fault) continue;
-    any_healthy = true;
-    queue.slots.push_back(token);
-    ++queue.writes;
-    queue.max_fill =
-        std::max(queue.max_fill, static_cast<rtc::Tokens>(queue.slots.size()));
-    if (queue.waiting_reader && !queue.reader_frozen) {
-      auto reader = queue.waiting_reader;
-      queue.waiting_reader = nullptr;
-      wake_reader(queue, reader);
-    }
-  }
-  if (!any_healthy) ++dropped_;  // beyond the (N-1)-fault hypothesis
-  return true;
-}
-
-void NReplicatorChannel::wake_reader(Queue& queue, std::coroutine_handle<> reader) {
-  // The epoch guard drops the wake if a restart invalidated the handle; if a
-  // freeze lands between scheduling and firing, the handle is re-parked
-  // instead of resumed so its in-flight read survives the fault.
-  Queue* q = &queue;
-  sim_.schedule_after(0, [q, reader, epoch = queue.epoch] {
-    if (q->epoch != epoch) return;
-    if (q->reader_frozen) {
-      q->waiting_reader = reader;
-      return;
-    }
-    reader.resume();
-  });
-}
-
-void NReplicatorChannel::await_writable(std::coroutine_handle<> writer) {
-  SCCFT_EXPECTS(!waiting_writer_);
-  waiting_writer_ = writer;  // never actually used: try_write always succeeds
-}
-
-std::optional<kpn::Token> NReplicatorChannel::queue_try_read(int replica) {
-  Queue& queue = queues_[static_cast<std::size_t>(replica)];
-  if (queue.reader_frozen || queue.slots.empty()) return std::nullopt;
-  kpn::Token token = std::move(queue.slots.front());
-  queue.slots.pop_front();
-  ++queue.reads;
-  return token;
-}
-
-void NReplicatorChannel::queue_await_readable(int replica,
-                                              std::coroutine_handle<> reader) {
-  Queue& queue = queues_[static_cast<std::size_t>(replica)];
-  SCCFT_EXPECTS(!queue.waiting_reader);
-  queue.waiting_reader = reader;
-  if (!queue.slots.empty() && !queue.reader_frozen) {
-    queue.waiting_reader = nullptr;
-    wake_reader(queue, reader);
-  }
-}
-
-void NReplicatorChannel::declare_fault(int replica) {
-  Queue& queue = queues_[static_cast<std::size_t>(replica)];
-  SCCFT_ASSERT(!queue.fault);
-  queue.fault = true;
-  queue.detection =
-      NDetectionRecord{replica, DetectionRule::kReplicatorOverflow, sim_.now()};
-  if (observer_) observer_(*queue.detection);
-}
-
-bool NReplicatorChannel::fault(int replica) const {
-  return queues_[static_cast<std::size_t>(replica)].fault;
-}
-
-std::optional<NDetectionRecord> NReplicatorChannel::detection(int replica) const {
-  return queues_[static_cast<std::size_t>(replica)].detection;
-}
-
-rtc::Tokens NReplicatorChannel::fill(int replica) const {
-  return static_cast<rtc::Tokens>(queues_[static_cast<std::size_t>(replica)].slots.size());
-}
-
-rtc::Tokens NReplicatorChannel::max_fill(int replica) const {
-  return queues_[static_cast<std::size_t>(replica)].max_fill;
-}
-
-int NReplicatorChannel::healthy_count() const {
-  int healthy = 0;
-  for (const Queue& queue : queues_) healthy += queue.fault ? 0 : 1;
-  return healthy;
-}
-
-void NReplicatorChannel::freeze_reader(int replica) {
-  queues_[static_cast<std::size_t>(replica)].reader_frozen = true;
-}
-
-void NReplicatorChannel::unfreeze_reader(int replica) {
-  Queue& queue = queues_[static_cast<std::size_t>(replica)];
-  if (!queue.reader_frozen) return;
-  queue.reader_frozen = false;
-  if (queue.waiting_reader && !queue.slots.empty()) {
-    auto reader = queue.waiting_reader;
-    queue.waiting_reader = nullptr;
-    wake_reader(queue, reader);
-  }
-}
-
-void NReplicatorChannel::reintegrate(int replica) {
-  SCCFT_EXPECTS(replica >= 0 && replica < replica_count());
-  Queue& queue = queues_[static_cast<std::size_t>(replica)];
-  queue.fault = false;
-  queue.detection.reset();
-  queue.reader_frozen = false;
-  queue.waiting_reader = nullptr;  // restart destroyed the old coroutine frame
-  ++queue.epoch;                   // invalidate any wake already scheduled
-  // Rejoin at the producer's CURRENT position: the stale backlog belongs to
-  // pairs the peers already delivered (or to a gap no replay can repair).
-  queue.slots.clear();
-}
-
-kpn::ChannelStats NReplicatorChannel::stats() const {
-  kpn::ChannelStats total;
-  for (const Queue& queue : queues_) {
-    total.max_fill = std::max(total.max_fill, queue.max_fill);
-    total.tokens_written += queue.writes;
-    total.tokens_read += queue.reads;
-  }
-  total.tokens_dropped = dropped_;
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// NSelectorChannel
-// ---------------------------------------------------------------------------
-
-NSelectorChannel::NSelectorChannel(sim::Simulator& sim, std::string name, Config config)
-    : sim_(sim),
-      name_(std::move(name)),
-      divergence_threshold_(config.divergence_threshold),
-      enable_stall_rule_(config.enable_stall_rule),
-      verify_checksums_(config.verify_checksums),
-      corruption_conviction_threshold_(config.corruption_conviction_threshold),
-      enable_payload_vote_(config.enable_payload_vote) {
-  const std::size_t n = config.capacities.size();
-  SCCFT_EXPECTS(n >= 2);
-  SCCFT_EXPECTS(config.initials.size() == n);
-  SCCFT_EXPECTS(config.divergence_threshold >= 0);
-  SCCFT_EXPECTS(config.corruption_conviction_threshold > 0);
-  // Vote mode needs rule (b) as its backstop: a group blocked on a silent
-  // side only resolves once that side is convicted, so the divergence rule
-  // must be armed and every healthy leader must be able to out-write a
-  // stalled laggard all the way to the D verdict without exhausting its own
-  // space budget first.
-  SCCFT_EXPECTS(!config.enable_payload_vote || config.divergence_threshold > 0);
-  sides_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SCCFT_EXPECTS(config.capacities[i] > 0);
-    SCCFT_EXPECTS(config.initials[i] >= 0 && config.initials[i] <= config.capacities[i]);
-    // The usable budget is capacity - initial (the Eq. (4) offset is burned
-    // on the preloaded slots), and it must cover a full D lead: a group
-    // blocked on a silent peer stalls the consumer, so nothing refills space
-    // until the rule (b) verdict lands.
-    SCCFT_EXPECTS(!config.enable_payload_vote ||
-                  config.capacities[i] - config.initials[i] >
-                      config.divergence_threshold);
-    sides_[i].capacity = config.capacities[i];
-    sides_[i].space = config.capacities[i] - config.initials[i];
-    sides_[i].initial = config.initials[i];
-    interfaces_.push_back(std::make_unique<WriteInterface>(*this, static_cast<int>(i)));
-  }
-  // Scrubbable word order (stable, documented in the header). Registered
-  // after the final resize: sides_ never reallocates afterwards.
-  for (Side& side : sides_) {
-    scrub_set_.add(side.capacity);
-    scrub_set_.add(side.initial);
-    scrub_set_.add(side.space);
-    scrub_set_.add(side.received);
-    scrub_set_.add(side.last_seq);
-  }
-  scrub_set_.add(last_enqueued_seq_);
-  scrub_set_.add(divergence_threshold_);
-}
-
-kpn::TokenSink& NSelectorChannel::write_interface(int replica) {
-  SCCFT_EXPECTS(replica >= 0 && replica < replica_count());
-  return *interfaces_[static_cast<std::size_t>(replica)];
-}
-
-bool NSelectorChannel::side_try_write(int replica, const kpn::Token& token) {
-  Side& side = sides_[static_cast<std::size_t>(replica)];
-  if (side.fault || side.writer_frozen) {
-    ++stats_.tokens_dropped;
-    return true;
-  }
-  if (side.space == 0) {
-    ++stats_.writer_blocks;
-    return false;
-  }
-
-  if (side.resync_pending) {
-    // A rejoining replica may only re-enter AT the delivered frontier. The
-    // frontier is defined by the most advanced non-resyncing peer; if this
-    // token is ahead of that peer's last_seq + 1, the missing sequence
-    // numbers exist solely in peers' pipelines, and enqueueing now would
-    // deliver the future before the past — a permanent gap. Hold the write
-    // while a HEALTHY peer still owns the frontier (conviction of that peer
-    // lifts the hold: the gap is then genuine and this side must flow).
-    const Side* leader = nullptr;  // healthy frontier owner (hold authority)
-    const Side* anchor = nullptr;  // most advanced peer (resync reference)
-    for (std::size_t j = 0; j < sides_.size(); ++j) {
-      if (static_cast<int>(j) == replica) continue;
-      const Side& candidate = sides_[j];
-      if (candidate.resync_pending) continue;  // pre-fault-epoch counters
-      if (!anchor || candidate.received > anchor->received) anchor = &candidate;
-      if (candidate.fault) continue;
-      if (!leader || candidate.received > leader->received) leader = &candidate;
-    }
-    if (leader && leader->received > 0 && token.seq() > leader->last_seq + 1) {
-      side.held_seq = token.seq();
-      ++stats_.writer_blocks;
-      return false;
-    }
-    // Recovery: align this side's counter with the most advanced peer using
-    // sequence numbers, so duplicate-group identity stays exact despite the
-    // tokens this replica missed while down. The space budget was already
-    // re-anchored by reintegrate(); reads during the pipeline refill must
-    // not count against its stall budget.
-    side.resync_pending = false;
-    side.space = side.capacity - side.initial;
-    if (anchor && anchor->received > 0) {
-      const auto delta = static_cast<std::int64_t>(token.seq()) -
-                         static_cast<std::int64_t>(anchor->last_seq) - 1;
-      const auto synced = static_cast<std::int64_t>(anchor->received) + delta;
-      side.received = synced > 0 ? static_cast<std::uint64_t>(synced) : 0;
-    }
-  }
-
-  // Fault-injection tamper (corruption in the replica's core or on its
-  // output link), then detection rule (c): verify the arriving token's
-  // CRC-32. A mismatch is quarantined — the write succeeds from the
-  // replica's view and consumes its space slot, but the received count does
-  // NOT advance, so a healthy peer's copy of the same group is delivered
-  // instead. Mirrors SelectorChannel (a CRC mismatch is direct evidence
-  // against side i regardless of the peers' state).
-  const kpn::Token* arriving = &token;
-  kpn::Token tampered;
-  if (side.tamper) {
-    tampered = side.tamper(token);
-    arriving = &tampered;
-  }
-  if (verify_checksums_ && arriving->valid() && !arriving->verify_checksum()) {
-    ++side.crc_mismatches;
-    ++stats_.tokens_dropped;
-    side.space -= 1;
-    if (side.crc_mismatches >=
-        static_cast<std::uint64_t>(corruption_conviction_threshold_)) {
-      declare_fault(replica, DetectionRule::kSelectorCorruption);
-    }
-    return true;
-  }
-
-  side.space -= 1;
-  side.received += 1;
-  side.last_seq = arriving->seq();
-  ++stats_.tokens_written;
-
-  if (enable_payload_vote_) {
-    // Interface i's k-th counted token is its member of duplicate group k.
-    note_vote_arrival(replica, static_cast<std::uint64_t>(side.received), *arriving);
-  } else {
-    // First-of-group test: this is interface i's (received)-th token; it is
-    // fresh iff no peer has delivered that many tokens yet.
-    std::uint64_t best_peer = 0;
-    for (std::size_t j = 0; j < sides_.size(); ++j) {
-      if (static_cast<int>(j) == replica) continue;
-      best_peer = std::max(best_peer, static_cast<std::uint64_t>(sides_[j].received));
-    }
-    // Seq-monotone safety net, mirroring the 2-replica selector: input loss
-    // can skew the replicas' arrival counts until the same sequence number
-    // tests fresh on more than one interface, so nothing at or below the
-    // enqueued frontier is ever delivered twice.
-    const bool fresh = static_cast<std::uint64_t>(side.received) > best_peer &&
-                       static_cast<std::int64_t>(arriving->seq()) > last_enqueued_seq_;
-    if (fresh) {
-      queue_.push_back(*arriving);
-      last_enqueued_seq_ = static_cast<std::int64_t>(arriving->seq());
-      stats_.max_fill = std::max(stats_.max_fill, fill());
-      wake_reader();
-    } else {
-      ++stats_.tokens_dropped;
-    }
-  }
-  check_divergence();
-  // This delivery advanced the frontier; a peer writer held at its rejoin
-  // point may now be able to proceed.
-  for (const Side& peer : sides_) {
-    if (peer.resync_pending && peer.waiting_writer) {
-      wake_writers();
-      break;
-    }
-  }
-  return true;
-}
-
-void NSelectorChannel::side_await_writable(int replica, std::coroutine_handle<> writer) {
-  Side& side = sides_[static_cast<std::size_t>(replica)];
-  SCCFT_EXPECTS(!side.waiting_writer);
-  side.waiting_writer = writer;
-}
-
-std::optional<kpn::Token> NSelectorChannel::try_read() {
-  if (queue_.empty()) return std::nullopt;
-  kpn::Token token = std::move(queue_.front());
-  queue_.pop_front();
-  ++stats_.tokens_read;
-  for (Side& side : sides_) side.space += 1;
-  if (enable_stall_rule_) {
-    // Flag any interface whose space exceeded its bound, as long as at least
-    // one healthy peer would remain ((N-1)-fault hypothesis). A side awaiting
-    // its post-recovery resync is immune: its counters refer to the pre-fault
-    // epoch until its first write re-anchors them.
-    for (std::size_t i = 0; i < sides_.size(); ++i) {
-      Side& side = sides_[i];
-      if (!side.fault && !side.resync_pending && side.space > side.capacity &&
-          healthy_count() > 1) {
-        declare_fault(static_cast<int>(i), DetectionRule::kSelectorStall);
-      }
-    }
-  }
-  wake_writers();
-  return token;
-}
-
-void NSelectorChannel::await_readable(std::coroutine_handle<> reader) {
-  SCCFT_EXPECTS(!waiting_reader_);
-  waiting_reader_ = reader;
-  ++stats_.reader_blocks;
-  if (!queue_.empty()) wake_reader();
-}
-
-void NSelectorChannel::declare_fault(int replica, DetectionRule rule) {
-  Side& side = sides_[static_cast<std::size_t>(replica)];
-  SCCFT_ASSERT(!side.fault);
-  side.fault = true;
-  side.detection = NDetectionRecord{replica, rule, sim_.now()};
-  if (observer_) observer_(*side.detection);
-  // Release any writer blocked on this interface so a zombie replica cannot
-  // wedge; its retried write is accepted-and-dropped via the fault path.
-  // This also releases a peer writer held at its rejoin frontier: with this
-  // side convicted, the hold no longer applies.
-  wake_writers();
-  // A conviction shrinks the electorate, which can hand a stalled group its
-  // majority (or its all-live-reported verdict).
-  if (enable_payload_vote_) resolve_ready_groups();
-}
-
-void NSelectorChannel::enqueue_for_delivery(const kpn::Token& token) {
-  // Seq-monotone safety net (see side_try_write): groups resolve in order,
-  // so this only rejects pathological replays below the delivered frontier.
-  if (static_cast<std::int64_t>(token.seq()) <= last_enqueued_seq_) {
-    ++stats_.tokens_dropped;
-    return;
-  }
-  queue_.push_back(token);
-  last_enqueued_seq_ = static_cast<std::int64_t>(token.seq());
-  stats_.max_fill = std::max(stats_.max_fill, fill());
-  wake_reader();
-}
-
-void NSelectorChannel::note_vote_arrival(int replica, std::uint64_t group,
-                                         const kpn::Token& token) {
-  if (group < next_resolve_group_) {
-    // Straggler into an already-resolved group: the duplicate is dropped, but
-    // if the group had a majority verdict a differing fingerprint is direct
-    // evidence against this side.
-    ++stats_.tokens_dropped;
-    const auto it = resolved_fp_.find(group);
-    if (it != resolved_fp_.end() && token.checksum() != it->second) {
-      ++votes_outvoted_;
-      if (!sides_[static_cast<std::size_t>(replica)].fault) {
-        declare_fault(replica, DetectionRule::kSelectorVote);
-      }
-    }
-  } else {
-    pending_[group].push_back(GroupArrival{replica, token});
-    resolve_ready_groups();
-  }
-  // Prune verdicts every non-convicted side has passed: the maps stay
-  // bounded by the inter-replica skew (at most a capacity + D).
-  std::uint64_t floor = UINT64_MAX;
-  for (const Side& side : sides_) {
-    if (!side.fault) {
-      floor = std::min(floor, static_cast<std::uint64_t>(side.received));
-    }
-  }
-  if (floor != UINT64_MAX) {
-    resolved_fp_.erase(resolved_fp_.begin(), resolved_fp_.upper_bound(floor));
-  }
-}
-
-void NSelectorChannel::resolve_ready_groups() {
-  if (resolving_) return;  // conviction mid-resolve re-enters via declare_fault
-  resolving_ = true;
-  while (true) {
-    const auto it = pending_.find(next_resolve_group_);
-    if (it == pending_.end()) break;
-    std::vector<GroupArrival>& arrivals = it->second;
-    const int live = healthy_count();
-    const int majority = live / 2 + 1;
-
-    // Earliest arrival whose fingerprint a strict majority of the live
-    // electorate agrees with (arrival order is deterministic simulation
-    // order, so the tie-break is too).
-    const GroupArrival* winner = nullptr;
-    for (const GroupArrival& a : arrivals) {
-      if (sides_[static_cast<std::size_t>(a.replica)].fault) continue;
-      int agree = 0;
-      for (const GroupArrival& b : arrivals) {
-        if (sides_[static_cast<std::size_t>(b.replica)].fault) continue;
-        if (b.token.checksum() == a.token.checksum()) ++agree;
-      }
-      if (agree >= majority) {
-        winner = &a;
-        break;
-      }
-    }
-    if (winner) {
-      const std::uint32_t fp = winner->token.checksum();
-      enqueue_for_delivery(winner->token);
-      resolved_fp_[next_resolve_group_] = fp;
-      stats_.tokens_dropped += arrivals.size() - 1;  // non-delivered members
-      // Dissenters lost to a strict majority: direct evidence, rule (vote).
-      for (const GroupArrival& a : arrivals) {
-        if (sides_[static_cast<std::size_t>(a.replica)].fault) continue;
-        if (a.token.checksum() == fp) continue;
-        ++votes_outvoted_;
-        declare_fault(a.replica, DetectionRule::kSelectorVote);
-      }
-      pending_.erase(it);
-      ++next_resolve_group_;
-      continue;
-    }
-
-    int reported = 0;
-    for (const GroupArrival& a : arrivals) {
-      if (!sides_[static_cast<std::size_t>(a.replica)].fault) ++reported;
-    }
-    if (!arrivals.empty() && reported >= live) {
-      // Every live side has reported and no strict majority exists (N=2
-      // against a silent corrupter): deliver the first arrival and count the
-      // conflict — detection without masking. No verdict is recorded, so
-      // stragglers (there are none live) cannot be convicted off it.
-      ++vote_conflicts_;
-      enqueue_for_delivery(arrivals.front().token);
-      stats_.tokens_dropped += arrivals.size() - 1;
-      pending_.erase(it);
-      ++next_resolve_group_;
-      continue;
-    }
-    break;  // wait for more arrivals or a conviction
-  }
-  resolving_ = false;
-}
-
-void NSelectorChannel::check_divergence() {
-  if (divergence_threshold_ <= 0) return;
-  std::uint64_t best = 0;
-  for (const Side& side : sides_) {
-    // A resyncing side's received count is pre-fault-epoch noise: it neither
-    // defines the leader nor can be convicted until its first write
-    // re-anchors it (recovery grace, as in the 2-replica selector).
-    if (!side.fault && !side.resync_pending) {
-      best = std::max(best, static_cast<std::uint64_t>(side.received));
-    }
-  }
-  for (std::size_t i = 0; i < sides_.size(); ++i) {
-    Side& side = sides_[i];
-    if (side.fault || side.resync_pending) continue;
-    if (healthy_count() <= 1) break;  // never convict the last healthy replica
-    if (best >= side.received + static_cast<std::uint64_t>(divergence_threshold_)) {
-      declare_fault(static_cast<int>(i), DetectionRule::kSelectorDivergence);
-    }
-  }
-}
-
-void NSelectorChannel::wake_reader() {
-  if (!waiting_reader_) return;
-  auto reader = waiting_reader_;
-  waiting_reader_ = nullptr;
-  sim_.schedule_after(0, [reader] { reader.resume(); });
-}
-
-bool NSelectorChannel::frontier_hold_active(std::size_t i) const {
-  const Side& side = sides_[i];
-  if (!side.resync_pending) return false;
-  const Side* leader = nullptr;
-  for (std::size_t j = 0; j < sides_.size(); ++j) {
-    if (j == i) continue;
-    const Side& candidate = sides_[j];
-    if (candidate.resync_pending || candidate.fault) continue;
-    if (!leader || candidate.received > leader->received) leader = &candidate;
-  }
-  return leader && leader->received > 0 && side.held_seq > leader->last_seq + 1;
-}
-
-void NSelectorChannel::wake_writers() {
-  for (std::size_t i = 0; i < sides_.size(); ++i) {
-    Side& side = sides_[i];
-    // A writer refused by the rejoin frontier hold is only resumed once the
-    // hold has lifted (the frontier reached held_seq - 1, or its owner was
-    // convicted); waking it earlier would make its try_write retry fail,
-    // which the kpn WriteAwaiter treats as a contract violation.
-    if (side.waiting_writer && !side.writer_frozen &&
-        (side.space > 0 || side.fault) && !frontier_hold_active(i)) {
-      auto writer = side.waiting_writer;
-      side.waiting_writer = nullptr;
-      Side* s = &side;
-      // The epoch guard drops the wake if a restart invalidated the handle;
-      // if a freeze or a re-armed frontier hold lands between scheduling and
-      // firing, the handle is re-parked instead of resumed so the token
-      // survives the fault.
-      sim_.schedule_after(0, [this, s, i, writer, epoch = side.epoch] {
-        if (s->epoch != epoch) return;
-        if (s->writer_frozen || frontier_hold_active(i)) {
-          s->waiting_writer = writer;
-          return;
-        }
-        writer.resume();
-      });
-    }
-  }
-}
-
-rtc::Tokens NSelectorChannel::space(int replica) const {
-  return sides_[static_cast<std::size_t>(replica)].space;
-}
-
-std::uint64_t NSelectorChannel::tokens_received(int replica) const {
-  return sides_[static_cast<std::size_t>(replica)].received;
-}
-
-bool NSelectorChannel::fault(int replica) const {
-  return sides_[static_cast<std::size_t>(replica)].fault;
-}
-
-std::optional<NDetectionRecord> NSelectorChannel::detection(int replica) const {
-  return sides_[static_cast<std::size_t>(replica)].detection;
-}
-
-int NSelectorChannel::healthy_count() const {
-  int healthy = 0;
-  for (const Side& side : sides_) healthy += side.fault ? 0 : 1;
-  return healthy;
-}
-
-void NSelectorChannel::set_write_tamper(int replica, WriteTamper tamper) {
-  SCCFT_EXPECTS(replica >= 0 && replica < replica_count());
-  sides_[static_cast<std::size_t>(replica)].tamper = std::move(tamper);
-}
-
-std::uint64_t NSelectorChannel::crc_mismatches(int replica) const {
-  return sides_[static_cast<std::size_t>(replica)].crc_mismatches;
-}
-
-void NSelectorChannel::freeze_writer(int replica) {
-  // The parked handle is RETAINED: a transient fault must resume it (via
-  // unfreeze_writer) with its in-flight token intact. Only reintegrate — the
-  // restart path, after which the handle dangles — discards it.
-  sides_[static_cast<std::size_t>(replica)].writer_frozen = true;
-}
-
-void NSelectorChannel::unfreeze_writer(int replica) {
-  Side& side = sides_[static_cast<std::size_t>(replica)];
-  if (!side.writer_frozen) return;
-  side.writer_frozen = false;
-  // Route through wake_writers: a writer that parked at the rejoin frontier
-  // hold BEFORE the freeze landed must stay parked until the hold lifts, and
-  // the wake needs the epoch guard in case a restart supersedes this thaw.
-  wake_writers();
-}
-
-void NSelectorChannel::reintegrate(int replica) {
-  SCCFT_EXPECTS(replica >= 0 && replica < replica_count());
-  // Vote mode has no restart path: a rejoining side's group numbering would
-  // be ambiguous against buffered ballots (documented in Config).
-  SCCFT_EXPECTS(!enable_payload_vote_);
-  Side& side = sides_[static_cast<std::size_t>(replica)];
-  side.fault = false;
-  side.detection.reset();
-  side.writer_frozen = false;
-  side.waiting_writer = nullptr;  // restart destroyed the old coroutine frame
-  ++side.epoch;                   // invalidate any wake already scheduled
-  side.space = side.capacity - side.initial;
-  side.resync_pending = true;
-}
-
 }  // namespace sccft::ft

@@ -2,7 +2,6 @@
 // and selector channels.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -10,8 +9,11 @@
 
 namespace sccft::ft {
 
-enum class ReplicaIndex { kReplica1 = 0, kReplica2 = 1 };
+/// 0-based replica index. The two named values cover the paper's duplicated
+/// setup; N-replica channels use ReplicaIndex{i} for i in [0, N).
+enum class ReplicaIndex : int { kReplica1 = 0, kReplica2 = 1 };
 
+/// The peer of a replica in a 2-replica setup.
 [[nodiscard]] constexpr ReplicaIndex other(ReplicaIndex r) {
   return r == ReplicaIndex::kReplica1 ? ReplicaIndex::kReplica2
                                       : ReplicaIndex::kReplica1;
@@ -19,8 +21,9 @@ enum class ReplicaIndex { kReplica1 = 0, kReplica2 = 1 };
 
 [[nodiscard]] constexpr int index_of(ReplicaIndex r) { return static_cast<int>(r); }
 
+/// "R<i+1>": R1, R2, R3, ...
 [[nodiscard]] inline std::string to_string(ReplicaIndex r) {
-  return r == ReplicaIndex::kReplica1 ? "R1" : "R2";
+  return "R" + std::to_string(index_of(r) + 1);
 }
 
 /// Which detection rule fired.
@@ -33,7 +36,8 @@ enum class DetectionRule {
                          ///< (online RTC monitor, Eq. 2 breach)
   kWatchdogTimeout,      ///< per-tile hardware watchdog expired (scc/watchdog)
   kSelectorVote,         ///< out-voted by a strict majority of replicas whose
-                         ///< duplicate-group payloads agree (N-selector only)
+                         ///< duplicate-group payloads agree (payload-vote
+                         ///< selectors only)
 };
 
 [[nodiscard]] inline std::string to_string(DetectionRule rule) {
@@ -55,8 +59,5 @@ struct DetectionRecord {
   DetectionRule rule = DetectionRule::kReplicatorOverflow;
   rtc::TimeNs detected_at = 0;
 };
-
-/// Callback invoked exactly once per (channel, replica) on first detection.
-using FaultObserver = std::function<void(const DetectionRecord&)>;
 
 }  // namespace sccft::ft

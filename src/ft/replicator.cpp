@@ -11,34 +11,30 @@ ReplicatorChannel::ReplicatorChannel(sim::Simulator& sim, std::string name,
     : sim_(sim),
       name_(std::move(name)),
       subject_(sim.trace().intern(name_)),
-      read_interfaces_{ReadInterface(*this, ReplicaIndex::kReplica1),
-                       ReadInterface(*this, ReplicaIndex::kReplica2)},
-      observer_adapter_(*this) {
-  SCCFT_EXPECTS(config.capacity1 > 0 && config.capacity2 > 0);
-  queues_[0].capacity = config.capacity1;
-  queues_[0].subject = sim.trace().intern(name_ + ".R1");
-  queues_[0].link = config.link1;
-  queues_[1].capacity = config.capacity2;
-  queues_[1].subject = sim.trace().intern(name_ + ".R2");
-  queues_[1].link = config.link2;
-  // Scrubbable word order (stable, documented in the header).
-  scrub_set_.add(queues_[0].capacity);
-  scrub_set_.add(queues_[1].capacity);
-  sim_.trace().subscribe(&observer_adapter_, trace::bit(trace::EventKind::kDetection));
+      queues_(config.capacities.size()) {
+  const std::size_t n = queues_.size();
+  SCCFT_EXPECTS(n >= 2);
+  SCCFT_EXPECTS(config.links.empty() || config.links.size() == n);
+  read_interfaces_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    SCCFT_EXPECTS(config.capacities[i] > 0);
+    const ReplicaIndex r{static_cast<int>(i)};
+    queues_[i].capacity = config.capacities[i];
+    queues_[i].subject = sim.trace().intern(name_ + "." + to_string(r));
+    if (!config.links.empty()) queues_[i].link = config.links[i];
+    read_interfaces_.emplace_back(*this, r);
+    // Scrubbable word order (stable, documented in the header).
+    scrub_set_.add(queues_[i].capacity);
+  }
 }
 
-ReplicatorChannel::~ReplicatorChannel() {
-  sim_.trace().unsubscribe(&observer_adapter_);
-}
-
-void ReplicatorChannel::ObserverAdapter::on_event(const trace::Event& event) {
-  if (event.subject != owner_.subject_) return;
-  const auto r = static_cast<ReplicaIndex>(event.a);
-  const DetectionRecord record{r, static_cast<DetectionRule>(event.b), event.time};
-  for (const auto& observer : owner_.observers_) observer(record);
+int ReplicatorChannel::healthy_count() const {
+  return static_cast<int>(std::count_if(queues_.begin(), queues_.end(),
+                                        [](const Queue& q) { return !q.fault; }));
 }
 
 kpn::TokenSource& ReplicatorChannel::read_interface(ReplicaIndex r) {
+  (void)queue(r);  // bounds check
   return read_interfaces_[static_cast<std::size_t>(index_of(r))];
 }
 
@@ -53,7 +49,7 @@ bool ReplicatorChannel::try_write(const kpn::Token& token) {
     for (std::size_t i = 0; i < queues_.size(); ++i) {
       Queue& queue = queues_[i];
       if (!queue.fault && static_cast<rtc::Tokens>(queue.slots.size()) >= queue.capacity) {
-        declare_fault(static_cast<ReplicaIndex>(i));
+        declare_fault(ReplicaIndex{static_cast<int>(i)});
       }
     }
   }
@@ -67,11 +63,10 @@ bool ReplicatorChannel::try_write(const kpn::Token& token) {
                  static_cast<rtc::Tokens>(queue.slots.size()) < queue.capacity);
     enqueue(queue, token);
   }
-  // Both replicas faulty exceeds the single-fault hypothesis; the write is
+  // Every replica faulty exceeds the (N-1)-fault hypothesis; the write is
   // still accepted (and dropped) so the producer is never wedged.
   if (!any_healthy) {
-    ++queues_[0].stats.tokens_dropped;
-    ++queues_[1].stats.tokens_dropped;
+    for (Queue& queue : queues_) ++queue.stats.tokens_dropped;
     sim_.trace().emit(trace::EventKind::kTokenDrop, subject_, sim_.now(),
                       static_cast<std::int64_t>(token.seq()));
   }
@@ -130,14 +125,14 @@ void ReplicatorChannel::end_reconfiguration() {
     Queue& queue = queues_[i];
     if (!queue.fault &&
         static_cast<rtc::Tokens>(queue.slots.size()) > queue.capacity) {
-      declare_fault(static_cast<ReplicaIndex>(i));
+      declare_fault(ReplicaIndex{static_cast<int>(i)});
     }
   }
 }
 
 rtc::Tokens ReplicatorChannel::set_capacity(ReplicaIndex r, rtc::Tokens requested) {
   SCCFT_EXPECTS(requested > 0);
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   // No retroactive conviction: a shrink stops one slot above the current
   // fill, so the resize itself never makes the overflow rule fire — the
   // queue must genuinely outgrow the new capacity afterwards.
@@ -148,7 +143,7 @@ rtc::Tokens ReplicatorChannel::set_capacity(ReplicaIndex r, rtc::Tokens requeste
 }
 
 void ReplicatorChannel::freeze_reader(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   queue.reader_frozen = true;
   sim_.trace().emit(trace::EventKind::kFreeze, subject_, sim_.now(), index_of(r));
   // The parked reader's handle is RETAINED: a transient fault must resume it
@@ -158,7 +153,7 @@ void ReplicatorChannel::freeze_reader(ReplicaIndex r) {
 }
 
 void ReplicatorChannel::unfreeze_reader(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   if (!queue.reader_frozen) return;
   queue.reader_frozen = false;
   sim_.trace().emit(trace::EventKind::kUnfreeze, subject_, sim_.now(), index_of(r));
@@ -168,7 +163,7 @@ void ReplicatorChannel::unfreeze_reader(ReplicaIndex r) {
 }
 
 void ReplicatorChannel::reintegrate(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   queue.fault = false;
   queue.detection.reset();
   queue.reader_frozen = false;
@@ -179,7 +174,7 @@ void ReplicatorChannel::reintegrate(ReplicaIndex r) {
 }
 
 std::optional<kpn::Token> ReplicatorChannel::queue_try_read(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   if (queue.reader_frozen) return std::nullopt;
   if (queue.slots.empty()) return std::nullopt;
   if (queue.slots.front().available_at > sim_.now()) return std::nullopt;
@@ -197,7 +192,7 @@ std::optional<kpn::Token> ReplicatorChannel::queue_try_read(ReplicaIndex r) {
 
 void ReplicatorChannel::queue_await_readable(ReplicaIndex r,
                                              std::coroutine_handle<> reader) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   SCCFT_EXPECTS(!queue.waiting_reader);
   queue.waiting_reader = reader;
   ++queue.stats.reader_blocks;
@@ -208,13 +203,13 @@ void ReplicatorChannel::queue_await_readable(ReplicaIndex r,
 }
 
 void ReplicatorChannel::declare_fault(ReplicaIndex r) {
-  Queue& queue = queues_[static_cast<std::size_t>(index_of(r))];
+  Queue& queue = this->queue(r);
   SCCFT_ASSERT(!queue.fault);
   queue.fault = true;
   queue.detection =
       DetectionRecord{r, DetectionRule::kReplicatorOverflow, sim_.now()};
-  // The verdict travels the bus; the ObserverAdapter subscription replays it
-  // to the registered FaultObservers synchronously.
+  // The verdict travels the bus only: detection logs and the supervisor are
+  // bus subscribers.
   sim_.trace().emit(trace::EventKind::kDetection, subject_, sim_.now(), index_of(r),
                     static_cast<std::int64_t>(DetectionRule::kReplicatorOverflow));
 }
@@ -263,7 +258,7 @@ kpn::ChannelStats ReplicatorChannel::stats() const {
 void ReplicatorChannel::publish_metrics(trace::MetricsRegistry& registry) const {
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     const Queue& queue = queues_[i];
-    const std::string prefix = name_ + ".R" + std::to_string(i + 1);
+    const std::string prefix = name_ + "." + to_string(ReplicaIndex{static_cast<int>(i)});
     registry.gauge_max(prefix + ".max_fill",
                        static_cast<std::int64_t>(queue.stats.max_fill));
     registry.add(prefix + ".tokens_written", queue.stats.tokens_written);
@@ -276,9 +271,10 @@ void ReplicatorChannel::publish_metrics(trace::MetricsRegistry& registry) const 
 }
 
 std::size_t ReplicatorChannel::control_memory_bytes() const {
-  // Control state only: counters, flags, waiters — not token payloads
-  // (Table 2 reports "1.5KB + N tokens"-style figures the same way).
-  return sizeof(ReplicatorChannel);
+  // Control state only: counters, flags, waiters and the per-replica queue
+  // records — not token payloads (Table 2 reports "1.5KB + N tokens"-style
+  // figures the same way).
+  return sizeof(ReplicatorChannel) + queues_.size() * (sizeof(Queue) + sizeof(ReadInterface));
 }
 
 }  // namespace sccft::ft

@@ -1,7 +1,6 @@
 #include "ft/selector.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/assert.hpp"
 
@@ -11,28 +10,43 @@ SelectorChannel::SelectorChannel(sim::Simulator& sim, std::string name, Config c
     : sim_(sim),
       name_(std::move(name)),
       subject_(sim.trace().intern(name_)),
-      write_interfaces_{WriteInterface(*this, ReplicaIndex::kReplica1),
-                        WriteInterface(*this, ReplicaIndex::kReplica2)},
+      sides_(config.capacities.size()),
       divergence_threshold_(config.divergence_threshold),
       enable_stall_rule_(config.enable_stall_rule),
       verify_checksums_(config.verify_checksums),
       corruption_conviction_threshold_(config.corruption_conviction_threshold),
-      observer_adapter_(*this) {
-  SCCFT_EXPECTS(config.capacity1 > 0 && config.capacity2 > 0);
-  SCCFT_EXPECTS(config.initial1 >= 0 && config.initial1 <= config.capacity1);
-  SCCFT_EXPECTS(config.initial2 >= 0 && config.initial2 <= config.capacity2);
+      enable_payload_vote_(config.enable_payload_vote) {
+  const std::size_t n = sides_.size();
+  SCCFT_EXPECTS(n >= 2);
+  SCCFT_EXPECTS(config.initials.empty() || config.initials.size() == n);
+  SCCFT_EXPECTS(config.links.empty() || config.links.size() == n);
   SCCFT_EXPECTS(config.divergence_threshold >= 0);
   SCCFT_EXPECTS(config.corruption_conviction_threshold > 0);
-  sides_[0].capacity = config.capacity1;
-  sides_[0].space = config.capacity1 - config.initial1;
-  sides_[0].initial = config.initial1;
-  sides_[0].subject = sim.trace().intern(name_ + ".S1");
-  sides_[0].link = config.link1;
-  sides_[1].capacity = config.capacity2;
-  sides_[1].space = config.capacity2 - config.initial2;
-  sides_[1].initial = config.initial2;
-  sides_[1].subject = sim.trace().intern(name_ + ".S2");
-  sides_[1].link = config.link2;
+  // Vote mode needs rule (b) as its backstop: a group blocked on a silent
+  // replica only resolves once that replica is convicted, so the divergence
+  // rule must be armed and every healthy leader must be able to out-write a
+  // stalled laggard all the way to the D verdict without exhausting its own
+  // space budget first (the usable budget is capacity - initial: the Eq. (4)
+  // offset is burned on the preloaded slots).
+  SCCFT_EXPECTS(!config.enable_payload_vote ||
+                (config.divergence_threshold > 0 && config.links.empty()));
+  write_interfaces_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const rtc::Tokens capacity = config.capacities[i];
+    const rtc::Tokens initial = config.initials.empty() ? 0 : config.initials[i];
+    SCCFT_EXPECTS(capacity > 0);
+    SCCFT_EXPECTS(initial >= 0 && initial <= capacity);
+    SCCFT_EXPECTS(!config.enable_payload_vote ||
+                  capacity - initial > config.divergence_threshold);
+    const ReplicaIndex r{static_cast<int>(i)};
+    Side& side = sides_[i];
+    side.capacity = capacity;
+    side.space = capacity - initial;
+    side.initial = initial;
+    side.subject = sim.trace().intern(name_ + ".S" + std::to_string(i + 1));
+    if (!config.links.empty()) side.link = config.links[i];
+    write_interfaces_.emplace_back(*this, r);
+  }
   // Scrubbable word order (stable, documented in the header): per side
   // {capacity, initial, space, virtual_fill, tokens_received, last_seq},
   // then the channel-level frontier and divergence threshold.
@@ -46,36 +60,67 @@ SelectorChannel::SelectorChannel(sim::Simulator& sim, std::string name, Config c
   }
   scrub_set_.add(last_enqueued_seq_);
   scrub_set_.add(divergence_threshold_);
-  sim_.trace().subscribe(&observer_adapter_, trace::bit(trace::EventKind::kDetection));
 }
 
-SelectorChannel::~SelectorChannel() {
-  sim_.trace().unsubscribe(&observer_adapter_);
-}
-
-void SelectorChannel::ObserverAdapter::on_event(const trace::Event& event) {
-  if (event.subject != owner_.subject_) return;
-  const auto r = static_cast<ReplicaIndex>(event.a);
-  const DetectionRecord record{r, static_cast<DetectionRule>(event.b), event.time};
-  for (const auto& observer : owner_.observers_) observer(record);
+int SelectorChannel::healthy_count() const {
+  return static_cast<int>(std::count_if(sides_.begin(), sides_.end(),
+                                        [](const Side& side) { return !side.fault; }));
 }
 
 kpn::TokenSink& SelectorChannel::write_interface(ReplicaIndex r) {
+  (void)side_at(r);  // bounds check
   return write_interfaces_[static_cast<std::size_t>(index_of(r))];
 }
 
 void SelectorChannel::preload_initial_tokens(const kpn::Token& token) {
   SCCFT_EXPECTS(queue_.empty());
-  pending_preload_ =
-      std::max(sides_[0].capacity - sides_[0].space, sides_[1].capacity - sides_[1].space);
+  pending_preload_ = 0;
+  for (const Side& side : sides_) {
+    pending_preload_ = std::max<rtc::Tokens>(pending_preload_, side.capacity - side.space);
+  }
   for (rtc::Tokens i = 0; i < pending_preload_; ++i) {
     queue_.push_back(Slot{token, sim_.now(), std::nullopt});
   }
 }
 
+const SelectorChannel::Side* SelectorChannel::frontier_leader(std::size_t i) const {
+  const Side* leader = nullptr;
+  for (std::size_t j = 0; j < sides_.size(); ++j) {
+    const Side& peer = sides_[j];
+    // A resync-pending peer has pre-fault counters and no claim on the
+    // frontier (holding against it can deadlock two rejoining writers).
+    if (j == i || peer.fault || peer.resync_pending) continue;
+    if (!leader || peer.tokens_received > leader->tokens_received) leader = &peer;
+  }
+  return leader;
+}
+
+bool SelectorChannel::reanchor_received(std::size_t i, std::uint64_t seq) {
+  // The reference is the most advanced peer, preferring peers whose counters
+  // are current (not resync-pending); with N = 2 it is simply the peer.
+  const Side* anchor = nullptr;
+  for (std::size_t j = 0; j < sides_.size(); ++j) {
+    const Side& peer = sides_[j];
+    if (j == i) continue;
+    if (!anchor || (anchor->resync_pending && !peer.resync_pending) ||
+        (anchor->resync_pending == peer.resync_pending &&
+         peer.tokens_received > anchor->tokens_received)) {
+      anchor = &peer;
+    }
+  }
+  if (anchor->tokens_received == 0) return false;
+  // After this, seq == anchor.last_seq + 1 is fresh; anything at or below
+  // anchor.last_seq is a late duplicate.
+  const auto delta = static_cast<std::int64_t>(seq) -
+                     static_cast<std::int64_t>(anchor->last_seq) - 1;
+  const auto synced = static_cast<std::int64_t>(anchor->tokens_received) + delta;
+  sides_[i].tokens_received = synced > 0 ? static_cast<std::uint64_t>(synced) : 0;
+  return true;
+}
+
 bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
-  Side& peer = sides_[static_cast<std::size_t>(index_of(other(r)))];
+  const auto i = static_cast<std::size_t>(index_of(r));
+  Side& side = sides_[i];
 
   if (side.fault || side.writer_frozen) {
     // A replica already declared faulty (or halted by fault injection) can
@@ -88,6 +133,9 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
   }
   if (side.space == 0) {
     // Rule 3: the writer blocks. Lemma 1: this depends only on space_i.
+    // Recording the refused token lets wake_writers judge a rejoin frontier
+    // hold against the token the retry will carry, not a stale one.
+    side.held_seq = token.seq();
     ++stats_.writer_blocks;
     SCCFT_TRACE(sim_.trace(), trace::EventKind::kWriterBlock, side.subject, sim_.now(),
                 static_cast<std::int64_t>(token.seq()));
@@ -99,10 +147,12 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
   // CRC-32. A mismatch is quarantined — the write succeeds from the
   // replica's view and consumes its space slot (Lemma 1: only space_i is
   // touched, and rule (a) stays quiet for a replica that is producing on
-  // schedule), but the received count does NOT advance. The peer's healthy
-  // copy of the same pair is therefore delivered as first-of-pair, the
-  // consumer never sees the corrupted payload, and a persistently corrupting
-  // replica also drifts toward the rule (b) divergence threshold.
+  // schedule), but the token is never delivered: a peer's healthy copy of
+  // the same group is. Outside vote mode the received count does NOT
+  // advance, so a persistently corrupting replica also drifts toward the
+  // rule (b) divergence threshold. In vote mode the arrival still reports
+  // its group (as a non-ballot), so the group never waits for a report that
+  // cannot come.
   const kpn::Token* arriving = &token;
   kpn::Token tampered;
   if (side.tamper) {
@@ -113,20 +163,25 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
     ++side.crc_mismatches;
     ++stats_.tokens_dropped;
     side.space -= 1;
-    side.count_resync_pending = true;
     sim_.trace().emit(trace::EventKind::kQuarantine, subject_, sim_.now(), index_of(r),
                       static_cast<std::int64_t>(side.crc_mismatches));
-    if (side.crc_mismatches >=
-        static_cast<std::uint64_t>(corruption_conviction_threshold_)) {
+    if (enable_payload_vote_) {
+      side.tokens_received += 1;
+      note_vote_arrival(side.tokens_received, GroupArrival{r, *arriving, false});
+    } else {
+      side.count_resync_pending = true;
+    }
+    if (!side.fault && side.crc_mismatches >=
+                           static_cast<std::uint64_t>(corruption_conviction_threshold_)) {
       // Unlike (a)/(b), a CRC mismatch is direct evidence against replica i
-      // regardless of the peer's state.
+      // regardless of the peers' state.
       declare_fault(r, DetectionRule::kSelectorCorruption);
     }
     return true;
   }
 
   if (side.resync_pending) {
-    // Reconfiguration window: the re-anchor below reads the peer's counters
+    // Reconfiguration window: the re-anchor below reads the peers' counters
     // and the capacity words, which a resize is about to rewrite. Defer the
     // rejoin across the window through the same hold machinery as the
     // frontier hold — end_reconfiguration() wakes the writer and the retry
@@ -137,110 +192,96 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
       return false;
     }
     // A rejoining replica may only re-enter AT the delivered frontier. If its
-    // first token is ahead of peer.last_seq + 1, the missing sequence numbers
-    // exist solely in the peer's pipeline (e.g. the peer is mid-burst of a
-    // transient fault); enqueueing now would deliver the future before the
-    // past and turn the peer's copies into dropped "late duplicates" — a
-    // permanent gap. Hold the write until the peer catches up; conviction of
-    // the peer lifts the hold (the stream then has a genuine gap no ordering
-    // can repair, and this side must flow to keep the consumer alive).
-    // A peer that is itself resync-pending has pre-fault counters and no
-    // claim on the frontier (holding against it can deadlock both rejoining
-    // writers); the first of the two to write re-anchors instead.
-    if (!peer.fault && !peer.resync_pending && peer.tokens_received > 0 &&
-        token.seq() > peer.last_seq + 1) {
+    // first token is ahead of leader.last_seq + 1, the missing sequence
+    // numbers exist solely in the peers' pipelines (e.g. a peer is mid-burst
+    // of a transient fault); enqueueing now would deliver the future before
+    // the past and turn the peers' copies into dropped "late duplicates" — a
+    // permanent gap. Hold the write while a HEALTHY peer still owns the
+    // frontier; conviction of that peer lifts the hold (the stream then has
+    // a genuine gap no ordering can repair, and this side must flow to keep
+    // the consumer alive).
+    const Side* leader = frontier_leader(i);
+    if (leader && leader->tokens_received > 0 && token.seq() > leader->last_seq + 1) {
       side.held_seq = token.seq();
       ++stats_.writer_blocks;
       return false;
     }
-    // Recovery: align this side's counter with the peer's using sequence
-    // numbers, so duplicate-pair identity stays exact despite the tokens
-    // this replica missed while down. After this, token.seq ==
-    // peer.last_seq + 1 is fresh; anything at or below peer.last_seq is a
-    // late duplicate. The space counter is re-anchored here too: the reads
-    // that happened while the replica refilled its pipeline must not count
-    // against its stall budget.
+    // Recovery: align this side's counter with the most advanced peer using
+    // sequence numbers, so duplicate-group identity stays exact despite the
+    // tokens this replica missed while down. The space counter is
+    // re-anchored here too: the reads that happened while the replica
+    // refilled its pipeline must not count against its stall budget.
     side.resync_pending = false;
     side.count_resync_pending = false;
     side.space = side.capacity - side.initial;
-    if (peer.tokens_received > 0) {
-      const auto delta = static_cast<std::int64_t>(token.seq()) -
-                         static_cast<std::int64_t>(peer.last_seq) - 1;
-      const auto synced = static_cast<std::int64_t>(peer.tokens_received) + delta;
-      side.tokens_received = synced > 0 ? static_cast<std::uint64_t>(synced) : 0;
-    }
-  } else if (side.count_resync_pending && peer.tokens_received > 0) {
-    // Quarantined tokens were arrivals that never counted as received; this
-    // healthy token's sequence number restores the exact pair alignment
-    // (same formula as post-recovery resync, but the space counter — which
-    // tracked every arrival, quarantined or not — is left alone).
-    side.count_resync_pending = false;
-    const auto delta = static_cast<std::int64_t>(token.seq()) -
-                       static_cast<std::int64_t>(peer.last_seq) - 1;
-    const auto synced = static_cast<std::int64_t>(peer.tokens_received) + delta;
-    side.tokens_received = synced > 0 ? static_cast<std::uint64_t>(synced) : 0;
+    (void)reanchor_received(i, token.seq());
+  } else if (side.count_resync_pending) {
+    // Quarantined (or link-lost) tokens were arrivals that never counted as
+    // received; this healthy token's sequence number restores the exact
+    // group alignment (same formula as post-recovery resync, but the space
+    // counter — which tracked every arrival — is left alone).
+    if (reanchor_received(i, token.seq())) side.count_resync_pending = false;
   }
-
-  // First-of-pair test. The paper states this as "space_i <= space_j", which
-  // equals the received-token comparison below exactly when both interfaces
-  // start with the same free space (space_i(0) = space_j(0)). With per-
-  // replica capacities and initial fills (|S_1|-|S_1|_0 != |S_2|-|S_2|_0 for
-  // both paper applications) the raw space comparison is biased by the
-  // constant offset and drops one healthy token at failover; comparing
-  // received counts implements the intended semantics — interface i's k-th
-  // token is the first of pair k iff the peer has delivered fewer than k —
-  // exactly (KPN determinacy + FIFO order make the k-th arrival token k).
-  const bool count_fresh = side.tokens_received + 1 > peer.tokens_received;
-  // Seq-monotone safety net. The count comparison assumes both replicas saw
-  // the same input stream; NoC loss on a producer->replica link starves one
-  // replica, skews the arrival counts, and can make BOTH copies of one
-  // sequence number test fresh (each replica's k-th token need not be token
-  // k any more). The delivered stream must stay strictly increasing no
-  // matter what, so nothing at or below the enqueued frontier is ever
-  // delivered twice — the late copy is dropped like any duplicate (the
-  // count still advances, which is what rules (a)/(b) reason about).
-  const bool first_of_pair =
-      count_fresh && static_cast<std::int64_t>(token.seq()) > last_enqueued_seq_;
   side.space -= 1;
 
+  // Vote mode: interface i's k-th counted token is its member of duplicate
+  // group k, and resolve_ready_groups decides what is delivered.
+  bool first_of_group = false;
   rtc::TimeNs available_at = sim_.now();
-  if (first_of_pair && side.link) {
-    const auto outcome = side.link->noc->transfer_ex(
-        side.link->src, side.link->dst, arriving->size_bytes(), sim_.now());
-    if (!outcome.delivered) {
-      // NoC fault exhausted its retransmission budget: the first-of-pair
-      // copy is lost in transit. Handled like a quarantine — the received
-      // count does not advance, so the peer's healthy copy of the same pair
-      // is delivered instead: duplicate execution masks link loss.
-      side.count_resync_pending = true;
-      ++stats_.tokens_written;
-      ++stats_.tokens_dropped;
-      sim_.trace().emit(trace::EventKind::kTokenDrop, side.subject, sim_.now(),
-                        static_cast<std::int64_t>(token.seq()));
-      check_divergence();
-      return true;
+  if (!enable_payload_vote_) {
+    // First-of-group test. The paper states this as "space_i <= space_j",
+    // which equals the received-token comparison below exactly when every
+    // interface starts with the same free space. With per-replica
+    // capacities and initial fills (|S_1|-|S_1|_0 != |S_2|-|S_2|_0 for both
+    // paper applications) the raw space comparison is biased by the
+    // constant offset and drops one healthy token at failover; comparing
+    // received counts implements the intended semantics — interface i's
+    // k-th token is the first of group k iff no peer has delivered k yet —
+    // exactly (KPN determinacy + FIFO order make the k-th arrival token k).
+    std::uint64_t best_peer = 0;
+    for (std::size_t j = 0; j < sides_.size(); ++j) {
+      if (j != i) best_peer = std::max<std::uint64_t>(best_peer, sides_[j].tokens_received);
     }
-    available_at = outcome.arrival;
+    // Seq-monotone safety net. The count comparison assumes every replica
+    // saw the same input stream; NoC loss on a producer->replica link
+    // starves one replica, skews the arrival counts, and can make several
+    // copies of one sequence number test fresh (a replica's k-th token need
+    // not be token k any more). The delivered stream must stay strictly
+    // increasing no matter what, so nothing at or below the enqueued
+    // frontier is ever delivered twice — the late copy is dropped like any
+    // duplicate (the count still advances, which is what rules (a)/(b)
+    // reason about).
+    first_of_group = side.tokens_received + 1 > best_peer &&
+                     static_cast<std::int64_t>(token.seq()) > last_enqueued_seq_;
+    if (first_of_group && side.link) {
+      const auto outcome = side.link->noc->transfer_ex(
+          side.link->src, side.link->dst, arriving->size_bytes(), sim_.now());
+      if (!outcome.delivered) {
+        // NoC fault exhausted its retransmission budget: the first-of-group
+        // copy is lost in transit. Handled like a quarantine — the received
+        // count does not advance, so a peer's healthy copy of the same group
+        // is delivered instead: replicated execution masks link loss.
+        side.count_resync_pending = true;
+        ++stats_.tokens_written;
+        ++stats_.tokens_dropped;
+        sim_.trace().emit(trace::EventKind::kTokenDrop, side.subject, sim_.now(),
+                          static_cast<std::int64_t>(token.seq()));
+        check_divergence();
+        return true;
+      }
+      available_at = outcome.arrival;
+    }
   }
 
   side.tokens_received += 1;
   side.last_seq = token.seq();
   ++stats_.tokens_written;
-
-  if (first_of_pair) {
-    queue_.push_back(Slot{*arriving, available_at, r});
-    last_enqueued_seq_ = static_cast<std::int64_t>(token.seq());
-    side.virtual_fill += 1;
-    side.max_virtual_fill =
-        std::max(side.max_virtual_fill, static_cast<rtc::Tokens>(side.virtual_fill));
-    stats_.max_fill = std::max(stats_.max_fill, fill() - pending_preload_);
-    // Always-on: VCD fill waveforms derive from enqueue/dequeue events.
-    sim_.trace().emit(trace::EventKind::kEnqueue, subject_, sim_.now(),
-                      static_cast<std::int64_t>(token.seq()),
-                      static_cast<std::int64_t>(fill()));
-    if (waiting_reader_) wake_reader(available_at);
+  if (enable_payload_vote_) {
+    note_vote_arrival(side.tokens_received, GroupArrival{r, *arriving, true});
+  } else if (first_of_group) {
+    enqueue(*arriving, available_at, r);
   } else {
-    // Late duplicate of a token the peer already delivered: dropped.
+    // Late duplicate of a token a peer already delivered: dropped.
     ++stats_.tokens_dropped;
     sim_.trace().emit(trace::EventKind::kTokenDrop, side.subject, sim_.now(),
                       static_cast<std::int64_t>(token.seq()));
@@ -255,12 +296,145 @@ bool SelectorChannel::side_try_write(ReplicaIndex r, const kpn::Token& token) {
   check_divergence();
   // This delivery advanced the frontier; a peer writer held at its rejoin
   // point may now be able to proceed.
-  if (peer.resync_pending && peer.waiting_writer) wake_writers();
+  for (const Side& peer : sides_) {
+    if (peer.resync_pending && peer.waiting_writer) {
+      wake_writers();
+      break;
+    }
+  }
   return true;
 }
 
+void SelectorChannel::enqueue(const kpn::Token& token, rtc::TimeNs available_at,
+                              ReplicaIndex origin) {
+  Side& side = sides_[static_cast<std::size_t>(index_of(origin))];
+  queue_.push_back(Slot{token, available_at, origin});
+  last_enqueued_seq_ = static_cast<std::int64_t>(token.seq());
+  side.virtual_fill += 1;
+  side.max_virtual_fill =
+      std::max(side.max_virtual_fill, static_cast<rtc::Tokens>(side.virtual_fill));
+  stats_.max_fill = std::max(stats_.max_fill, fill() - pending_preload_);
+  // Always-on: VCD fill waveforms derive from enqueue/dequeue events.
+  sim_.trace().emit(trace::EventKind::kEnqueue, subject_, sim_.now(),
+                    static_cast<std::int64_t>(token.seq()),
+                    static_cast<std::int64_t>(fill()));
+  if (waiting_reader_) wake_reader(available_at);
+}
+
+void SelectorChannel::note_vote_arrival(std::uint64_t group, GroupArrival arrival) {
+  if (group < next_resolve_group_) {
+    // Straggler into an already-resolved group: the duplicate is dropped, but
+    // if the group had a majority verdict a differing fingerprint is direct
+    // evidence against this replica. (A quarantined straggler was counted
+    // as dropped already and never dissents.)
+    if (arrival.ballot) {
+      ++stats_.tokens_dropped;
+      const auto it = resolved_fp_.find(group);
+      if (it != resolved_fp_.end() && arrival.token.checksum() != it->second) {
+        ++votes_outvoted_;
+        if (!side_at(arrival.replica).fault) {
+          declare_fault(arrival.replica, DetectionRule::kSelectorVote);
+        }
+      }
+    }
+  } else {
+    pending_[group].push_back(std::move(arrival));
+    resolve_ready_groups();
+  }
+  // Prune verdicts every non-convicted replica has passed: the maps stay
+  // bounded by the inter-replica skew (at most a capacity + D).
+  std::uint64_t floor = UINT64_MAX;
+  for (const Side& side : sides_) {
+    if (!side.fault) floor = std::min<std::uint64_t>(floor, side.tokens_received);
+  }
+  if (floor != UINT64_MAX) {
+    resolved_fp_.erase(resolved_fp_.begin(), resolved_fp_.upper_bound(floor));
+  }
+}
+
+void SelectorChannel::resolve_ready_groups() {
+  if (resolving_) return;  // conviction mid-resolve re-enters via declare_fault
+  resolving_ = true;
+  // Seq-monotone safety net (see side_try_write): groups resolve in order,
+  // so this only rejects pathological replays below the delivered frontier.
+  const auto deliver = [this](const GroupArrival& arrival) {
+    if (static_cast<std::int64_t>(arrival.token.seq()) <= last_enqueued_seq_) {
+      ++stats_.tokens_dropped;
+      return;
+    }
+    enqueue(arrival.token, sim_.now(), arrival.replica);
+  };
+  const auto votes = [this](const GroupArrival& arrival) {
+    return arrival.ballot && !side_at(arrival.replica).fault;
+  };
+  while (true) {
+    const auto it = pending_.find(next_resolve_group_);
+    if (it == pending_.end()) break;
+    std::vector<GroupArrival>& arrivals = it->second;
+    const int live = healthy_count();
+    const int majority = live / 2 + 1;
+    const auto ballots = static_cast<std::uint64_t>(std::count_if(
+        arrivals.begin(), arrivals.end(), [](const GroupArrival& a) { return a.ballot; }));
+
+    // Earliest ballot whose fingerprint a strict majority of the live
+    // electorate agrees with (arrival order is deterministic simulation
+    // order, so the tie-break is too).
+    const GroupArrival* winner = nullptr;
+    for (const GroupArrival& a : arrivals) {
+      if (!votes(a)) continue;
+      const auto agree = std::count_if(arrivals.begin(), arrivals.end(),
+                                       [&](const GroupArrival& b) {
+                                         return votes(b) &&
+                                                b.token.checksum() == a.token.checksum();
+                                       });
+      if (agree >= majority) {
+        winner = &a;
+        break;
+      }
+    }
+    if (winner) {
+      const std::uint32_t fp = winner->token.checksum();
+      deliver(*winner);
+      resolved_fp_[next_resolve_group_] = fp;
+      stats_.tokens_dropped += ballots - 1;  // non-delivered members
+      // Dissenters lost to a strict majority: direct evidence, rule (vote).
+      for (const GroupArrival& a : arrivals) {
+        if (!votes(a) || a.token.checksum() == fp) continue;
+        ++votes_outvoted_;
+        declare_fault(a.replica, DetectionRule::kSelectorVote);
+      }
+      pending_.erase(it);
+      ++next_resolve_group_;
+      continue;
+    }
+
+    const auto reported = std::count_if(
+        arrivals.begin(), arrivals.end(),
+        [this](const GroupArrival& a) { return !side_at(a.replica).fault; });
+    if (!arrivals.empty() && reported >= live) {
+      // Every live replica has reported and no strict majority exists (N=2
+      // against a silent corrupter): deliver the first ballot and count the
+      // conflict — detection without masking. No verdict is recorded, so
+      // stragglers cannot be convicted off it. A group whose every member
+      // was quarantined has nothing trustworthy to deliver.
+      const auto first = std::find_if(arrivals.begin(), arrivals.end(),
+                                      [](const GroupArrival& a) { return a.ballot; });
+      if (first != arrivals.end()) {
+        ++vote_conflicts_;
+        deliver(*first);
+        stats_.tokens_dropped += ballots - 1;
+      }
+      pending_.erase(it);
+      ++next_resolve_group_;
+      continue;
+    }
+    break;  // wait for more arrivals or a conviction
+  }
+  resolving_ = false;
+}
+
 void SelectorChannel::freeze_writer(ReplicaIndex r) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
+  Side& side = side_at(r);
   side.writer_frozen = true;
   // A parked writer's handle is RETAINED: a transient fault must resume it
   // (via unfreeze_writer) with its in-flight token intact. Only reintegrate
@@ -270,7 +444,7 @@ void SelectorChannel::freeze_writer(ReplicaIndex r) {
 }
 
 void SelectorChannel::unfreeze_writer(ReplicaIndex r) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
+  Side& side = side_at(r);
   if (!side.writer_frozen) return;
   side.writer_frozen = false;
   // Route through wake_writers: a writer that parked at the rejoin frontier
@@ -280,11 +454,14 @@ void SelectorChannel::unfreeze_writer(ReplicaIndex r) {
 }
 
 void SelectorChannel::set_write_tamper(ReplicaIndex r, WriteTamper tamper) {
-  sides_[static_cast<std::size_t>(index_of(r))].tamper = std::move(tamper);
+  side_at(r).tamper = std::move(tamper);
 }
 
 void SelectorChannel::reintegrate(ReplicaIndex r) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
+  // Vote mode has no restart path: a rejoining replica's group numbering
+  // would be ambiguous against buffered ballots (documented in Config).
+  SCCFT_EXPECTS(!enable_payload_vote_);
+  Side& side = side_at(r);
   side.fault = false;
   side.detection.reset();
   side.writer_frozen = false;
@@ -303,7 +480,7 @@ void SelectorChannel::reintegrate(ReplicaIndex r) {
 }
 
 void SelectorChannel::side_await_writable(ReplicaIndex r, std::coroutine_handle<> writer) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
+  Side& side = side_at(r);
   SCCFT_EXPECTS(!side.waiting_writer);
   side.waiting_writer = writer;
 }
@@ -329,15 +506,16 @@ std::optional<kpn::Token> SelectorChannel::try_read() {
     pending_preload_ -= 1;
   }
 
-  // Detection rule (a): replica i is faulty once space_i exceeds |S_i|.
+  // Detection rule (a): replica i is faulty once space_i exceeds |S_i|, as
+  // long as at least one other replica is healthy ((N-1)-fault hypothesis).
   // A side awaiting its post-recovery resync is immune: its counters refer
   // to the pre-fault epoch until its first write re-anchors them.
   if (enable_stall_rule_) {
     for (std::size_t i = 0; i < sides_.size(); ++i) {
       Side& side = sides_[i];
-      if (!side.fault && !side.resync_pending && !sides_[1 - i].fault &&
-          side.space > side.capacity) {
-        declare_fault(static_cast<ReplicaIndex>(i), DetectionRule::kSelectorStall);
+      if (!side.fault && !side.resync_pending && side.space > side.capacity &&
+          healthy_count() > 1) {
+        declare_fault(ReplicaIndex{static_cast<int>(i)}, DetectionRule::kSelectorStall);
       }
     }
   }
@@ -363,12 +541,12 @@ void SelectorChannel::await_readable(std::coroutine_handle<> reader) {
 }
 
 void SelectorChannel::declare_fault(ReplicaIndex r, DetectionRule rule) {
-  Side& side = sides_[static_cast<std::size_t>(index_of(r))];
+  Side& side = side_at(r);
   SCCFT_ASSERT(!side.fault);
   side.fault = true;
   side.detection = DetectionRecord{r, rule, sim_.now()};
-  // The verdict travels the bus; the ObserverAdapter subscription replays it
-  // to the registered FaultObservers synchronously.
+  // The verdict travels the bus only: detection logs and the supervisor are
+  // bus subscribers.
   sim_.trace().emit(trace::EventKind::kDetection, subject_, sim_.now(), index_of(r),
                     static_cast<std::int64_t>(rule));
   // If the (now-faulty) replica is blocked on this interface, release it so a
@@ -379,6 +557,9 @@ void SelectorChannel::declare_fault(ReplicaIndex r, DetectionRule rule) {
   // a peer writer held at its rejoin frontier: with this side convicted, the
   // hold no longer applies.
   wake_writers();
+  // A conviction shrinks the electorate, which can hand a stalled group its
+  // majority (or its all-live-reported verdict).
+  if (enable_payload_vote_) resolve_ready_groups();
 }
 
 void SelectorChannel::begin_reconfiguration() {
@@ -404,9 +585,13 @@ rtc::Tokens SelectorChannel::set_divergence_threshold(rtc::Tokens requested) {
     // No retroactive conviction: a narrowing stops one token above the
     // current gap, so the divergence must genuinely deepen after the resize
     // before rule (b) can fire.
-    const auto w1 = static_cast<std::int64_t>(sides_[0].tokens_received);
-    const auto w2 = static_cast<std::int64_t>(sides_[1].tokens_received);
-    applied = std::max(requested, static_cast<rtc::Tokens>(std::abs(w1 - w2)) + 1);
+    const auto [lo, hi] = std::minmax_element(
+        sides_.begin(), sides_.end(), [](const Side& a, const Side& b) {
+          return a.tokens_received < b.tokens_received;
+        });
+    const auto gap = static_cast<std::int64_t>(hi->tokens_received) -
+                     static_cast<std::int64_t>(lo->tokens_received);
+    applied = std::max(requested, static_cast<rtc::Tokens>(gap) + 1);
   }
   divergence_threshold_ = applied;
   return applied;
@@ -415,13 +600,23 @@ rtc::Tokens SelectorChannel::set_divergence_threshold(rtc::Tokens requested) {
 void SelectorChannel::check_divergence() {
   if (reconfiguring_) return;  // deferred to end_reconfiguration()
   if (divergence_threshold_ <= 0) return;
-  if (sides_[0].fault || sides_[1].fault) return;  // single-fault hypothesis
-  if (sides_[0].resync_pending || sides_[1].resync_pending) return;  // recovery grace
-  const auto w1 = static_cast<std::int64_t>(sides_[0].tokens_received);
-  const auto w2 = static_cast<std::int64_t>(sides_[1].tokens_received);
-  if (std::abs(w1 - w2) >= divergence_threshold_) {
-    declare_fault(w1 < w2 ? ReplicaIndex::kReplica1 : ReplicaIndex::kReplica2,
-                  DetectionRule::kSelectorDivergence);
+  // A resyncing side's received count is pre-fault-epoch noise: it neither
+  // defines the leader nor can be convicted until its first write
+  // re-anchors it (recovery grace).
+  std::uint64_t best = 0;
+  for (const Side& side : sides_) {
+    if (!side.fault && !side.resync_pending) {
+      best = std::max<std::uint64_t>(best, side.tokens_received);
+    }
+  }
+  const auto threshold = static_cast<std::uint64_t>(divergence_threshold_);
+  for (std::size_t i = 0; i < sides_.size(); ++i) {
+    Side& side = sides_[i];
+    if (side.fault || side.resync_pending) continue;
+    if (healthy_count() <= 1) break;  // never convict the last healthy replica
+    if (best >= side.tokens_received + threshold) {
+      declare_fault(ReplicaIndex{static_cast<int>(i)}, DetectionRule::kSelectorDivergence);
+    }
   }
 }
 
@@ -458,17 +653,16 @@ bool SelectorChannel::frontier_hold_active(std::size_t i) const {
   // Rejoin re-anchoring is deferred across a reconfiguration window (see
   // begin_reconfiguration); the hold lifts when the window closes.
   if (reconfiguring_) return true;
-  const Side& peer = sides_[1 - i];
-  return !peer.fault && !peer.resync_pending && peer.tokens_received > 0 &&
-         side.held_seq > peer.last_seq + 1;
+  const Side* leader = frontier_leader(i);
+  return leader && leader->tokens_received > 0 && side.held_seq > leader->last_seq + 1;
 }
 
 void SelectorChannel::wake_writers() {
   for (std::size_t i = 0; i < sides_.size(); ++i) {
     Side& side = sides_[i];
     // A writer refused by the rejoin frontier hold is only resumed once the
-    // hold has lifted (the peer's frontier reached held_seq - 1, or the peer
-    // was convicted); waking it earlier would make its try_write retry fail,
+    // hold has lifted (the frontier reached held_seq - 1, or its owner was
+    // convicted); waking it earlier would make its try_write retry fail,
     // which the kpn WriteAwaiter treats as a contract violation.
     if (side.waiting_writer && !side.writer_frozen &&
         (side.space > 0 || side.fault) && !frontier_hold_active(i)) {

@@ -52,6 +52,7 @@ Supervisor::Supervisor(sim::Simulator& sim, ReplicatorChannel& replicator,
       config_(std::move(config)),
       subject_(sim.trace().intern(config_.name)),
       sink_(*this) {
+  SCCFT_EXPECTS(replicator.replica_count() == 2 && selector.replica_count() == 2);
   SCCFT_EXPECTS(config_.restart_budget >= 0);
   SCCFT_EXPECTS(!config_.name.empty());
   if (!config_.injection_subject.empty()) {
@@ -65,10 +66,9 @@ Supervisor::Supervisor(sim::Simulator& sim, ReplicatorChannel& replicator,
     replicas_[i].assets = std::move(assets[i]);
     replicas_[i].metric_prefix = config_.name + ".R" + std::to_string(i + 1);
   }
-  // Subscribed after the channels' own ObserverAdapters (construction order),
-  // so externally registered FaultObservers — the framework's detection log
-  // in particular — still run before the supervisor acts, exactly as they
-  // did when everyone sat in the same observer list.
+  // Subscribed after the harness's DetectionRecorder (construction order), so
+  // the framework's detection log already holds a verdict by the time the
+  // supervisor acts on it.
   sim_.trace().subscribe(&sink_, trace::bit(trace::EventKind::kDetection) |
                                      trace::bit(trace::EventKind::kInjection) |
                                      trace::bit(trace::EventKind::kCurveViolation));

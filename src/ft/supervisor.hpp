@@ -141,9 +141,9 @@ class Supervisor final {
 
   /// Subscribes to both channels' verdicts (kDetection events on the
   /// simulator's trace bus) and to kInjection events, which timestamp
-  /// latency samples automatically. `assets` describe what recovery must
-  /// touch per replica (index 0 = kReplica1); their pointers must outlive
-  /// the supervisor.
+  /// latency samples automatically. The channels must be 2 replicas wide.
+  /// `assets` describe what recovery must touch per replica (index 0 =
+  /// kReplica1); their pointers must outlive the supervisor.
   Supervisor(sim::Simulator& sim, ReplicatorChannel& replicator,
              SelectorChannel& selector, std::array<ReplicaAssets, 2> assets,
              Config config);
@@ -155,10 +155,13 @@ class Supervisor final {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Timestamps a fault injection so the next detection of `replica` gets a
-  /// latency sample. Pass as FaultCampaign's injection listener:
-  ///   campaign.set_injection_listener([&](const FaultInjectionRecord& rec) {
-  ///     supervisor.note_fault_injected(rec.replica, rec.at);
-  ///   });
+  /// latency sample. A FaultCampaign needs no wiring for this: its
+  /// activations travel the bus as kInjection events, and the supervisor's
+  /// own subscription records every data-path one (control-plane kinds have
+  /// no replica victim and are skipped):
+  ///   Supervisor supervisor(sim, replicator, selector, assets, config);
+  ///   FaultCampaign campaign(sim, wiring);  // activations reach `supervisor`
+  /// Call it directly only for injections that bypass the bus.
   void note_fault_injected(ReplicaIndex replica, rtc::TimeNs at);
 
   [[nodiscard]] ReplicaHealth health(ReplicaIndex r) const {

@@ -103,9 +103,9 @@ struct PolicyRig {
   ReconfigurationController rc;
 
   PolicyRig(rtc::Tokens fifo1, rtc::Tokens fifo2, rtc::Tokens divergence)
-      : rep(sim, "rep", {.capacity1 = fifo1, .capacity2 = fifo2}),
+      : rep(sim, "rep", {.capacities = {fifo1, fifo2}}),
         sel(sim, "sel",
-            {.capacity1 = 12, .capacity2 = 12, .divergence_threshold = divergence}),
+            {.capacities = {12, 12}, .divergence_threshold = divergence}),
         rc(sim, sim.trace(), rep, sel, {.quiesce_window = 1'000'000}) {}
 
   /// Synthesizes the OnlineMonitor's weakly-hard miss event.

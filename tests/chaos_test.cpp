@@ -406,5 +406,74 @@ TEST(Artifact, PlantedBugTextRoundTrips) {
   EXPECT_THROW((void)planted_bug_from_text("heisenbug"), util::ContractViolation);
 }
 
+// ---------------------------------------------------------------------------
+// Exact-plan regressions
+// ---------------------------------------------------------------------------
+
+/// Runs `faults` as the storm of `seed` (2 s, default options at `nreplica`)
+/// and returns the oracle verdicts against the matching golden run.
+std::vector<Violation> replay_plan(std::uint64_t seed, const std::string& faults,
+                                   int nreplica, RunObservation* observed = nullptr) {
+  const StormPlan plan{seed, rtc::from_sec(2.0), ft::parse_fault_plan(faults)};
+  RunOptions options;
+  options.nreplica = nreplica;
+  const RunObservation golden = run_golden(seed, plan.run_length, {}, nreplica);
+  RunObservation obs = run_storm(plan, options);
+  std::vector<Violation> violations = check_invariants(plan, obs, golden);
+  if (observed != nullptr) *observed = std::move(obs);
+  return violations;
+}
+
+TEST(StormRegression, WriterBlockedOnSpaceIsNotWokenIntoARejoinHold) {
+  // Soak seeds 14190 and 20032 (2 replicas): a rejoining writer refused for
+  // space_i == 0 was later woken by a stale held_seq, and its retry hit the
+  // rejoin frontier hold — the kpn WriteAwaiter `accepted_` contract
+  // violation. The refusal now records the refused token's sequence.
+  const std::vector<std::pair<std::uint64_t, std::string>> plans{
+      {14190,
+       "fault transient-silence 1 723537797 336443287 4 1 0 0 17943626958002962861 0 0 0 0 3 50000 0\n"
+       "fault payload-corruption 2 849190945 207398551 4 0.75515206303460547 0 0 10753315203157175388 0 0 0 0 3 50000 0\n"
+       "fault transient-silence 2 1379267332 225794535 4 1 0 0 17612720675875673933 0 0 0 0 3 50000 0\n"
+       "fault payload-corruption 1 1296390377 242125854 4 0.77085552922031164 0 0 18362401156295168718 0 0 0 0 3 50000 0\n"},
+      {20032,
+       "fault transient-silence 1 976513123 310586438 4 1 0 0 5940859951426637454 0 0 0 0 3 50000 0\n"
+       "fault payload-corruption 2 1072801837 393673646 4 0.82732969566531289 0 0 5565849829675458830 0 0 0 0 3 50000 0\n"
+       "fault payload-corruption 1 603842271 127647043 4 0.6039448562110028 0 0 2450622896682178650 0 0 0 0 3 50000 0\n"
+       "fault intermittent-silence 1 1635227941 312628357 4 1 52823651 160305373 13356223933570705135 0 0 0 0 3 50000 0\n"},
+  };
+  for (const auto& [seed, faults] : plans) {
+    RunObservation obs;
+    const std::vector<Violation> violations = replay_plan(seed, faults, 2, &obs);
+    EXPECT_FALSE(obs.contract_violation)
+        << "seed " << seed << ": " << obs.contract_violation.value_or("");
+    for (const Violation& violation : violations) {
+      ADD_FAILURE() << "seed " << seed << ": " << to_string(violation.code) << ": "
+                    << violation.detail;
+    }
+  }
+}
+
+TEST(StormRegression, QuarantinedArrivalReportsItsVoteGroup) {
+  // Shrunk plan of the N = 3 soak seed 5880406494887929426: replicas 1 and 2
+  // corrupt payloads (rule (c) quarantines them). A quarantined arrival used
+  // to leave its duplicate group waiting for a report that never came, and
+  // the side's later tokens voted in the wrong groups, so the healthy
+  // replica 3 was convicted. It now reports its group as a non-ballot.
+  RunObservation obs;
+  const std::vector<Violation> violations = replay_plan(
+      5880406494887929426ULL,
+      "fault payload-corruption 2 311136101 303485493 4 0.54574526974942739 0 0 11837739032491501696 0 0 0 0 3 50000 0 2\n"
+      "fault payload-corruption 1 358466682 152339282 4 0.47743468105002457 0 0 1543738348739409919 0 0 0 0 3 50000 0 1\n",
+      3, &obs);
+  for (const Violation& violation : violations) {
+    ADD_FAILURE() << to_string(violation.code) << ": " << violation.detail;
+  }
+  for (const ft::DetectionRecord& detection : obs.n_detections) {
+    EXPECT_NE(detection.replica, ft::ReplicaIndex{2})
+        << "healthy R3 convicted by " << ft::to_string(detection.rule);
+  }
+  EXPECT_EQ(obs.corrupt_delivered, 0u);
+}
+
 }  // namespace
 }  // namespace sccft::chaos

@@ -93,8 +93,7 @@ struct Rig {
     FaultCampaign::Wiring w;
     w.replicator = &harness->replicator();
     w.selector = &harness->selector();
-    w.processes[0] = {replicas[0]};
-    w.processes[1] = {replicas[1]};
+    w.processes = {{replicas[0]}, {replicas[1]}};
     return w;
   }
 };
@@ -292,8 +291,7 @@ TEST(FaultCampaign, CorruptionIsQuarantinedAndConvicted) {
 TEST(Selector, QuarantineBelowThresholdDoesNotConvict) {
   sim::Simulator simulator;
   SelectorChannel selector(simulator, "sel",
-                           {.capacity1 = 4,
-                            .capacity2 = 4,
+                           {.capacities = {4, 4},
                             .divergence_threshold = 0,
                             .enable_stall_rule = false,
                             .corruption_conviction_threshold = 3});
@@ -332,8 +330,7 @@ TEST(Selector, QuarantineBelowThresholdDoesNotConvict) {
 TEST(Selector, ThirdMismatchConvictsViaCorruptionRule) {
   sim::Simulator simulator;
   SelectorChannel selector(simulator, "sel",
-                           {.capacity1 = 8,
-                            .capacity2 = 8,
+                           {.capacities = {8, 8},
                             .divergence_threshold = 0,
                             .enable_stall_rule = false,
                             .corruption_conviction_threshold = 3});
@@ -353,8 +350,7 @@ TEST(Selector, ThirdMismatchConvictsViaCorruptionRule) {
 TEST(Selector, ChecksumVerificationCanBeDisabled) {
   sim::Simulator simulator;
   SelectorChannel selector(simulator, "sel",
-                           {.capacity1 = 8,
-                            .capacity2 = 8,
+                           {.capacities = {8, 8},
                             .enable_stall_rule = false,
                             .verify_checksums = false});
   auto& w1 = selector.write_interface(ReplicaIndex::kReplica1);

@@ -40,7 +40,7 @@ TEST(Harness, PrecomputedReportBuildsTheSameChannels) {
   EXPECT_EQ(given.sizing(), own.sizing());
   for (const ReplicaIndex r : {ReplicaIndex::kReplica1, ReplicaIndex::kReplica2}) {
     EXPECT_EQ(given.replicator().capacity(r), own.replicator().capacity(r));
-    EXPECT_EQ(given.selector().space(r), own.selector().space(r));
+    EXPECT_EQ(given.selector().space(ReplicaIndex{r}), own.selector().space(ReplicaIndex{r}));
   }
   EXPECT_EQ(given.selector().divergence_threshold(),
             own.selector().divergence_threshold());
@@ -64,12 +64,12 @@ TEST(Harness, NReplicaPrecomputedReportBuildsTheSameChannels) {
     SCOPED_TRACE(vote ? "payload vote" : "no vote");
     EXPECT_EQ(given.sizing(), own.sizing());
     for (int r = 0; r < 3; ++r) {
-      EXPECT_EQ(given.selector().space(r), own.selector().space(r)) << "replica " << r;
+      EXPECT_EQ(given.selector().space(ReplicaIndex{r}), own.selector().space(ReplicaIndex{r})) << "replica " << r;
     }
     // Replicator capacities: the overflow rule fires on the same write.
     auto writes_until_overflow = [](NReplicaHarness& harness) {
       int writes = 0;
-      while (!harness.replicator().fault(2)) {
+      while (!harness.replicator().fault(ReplicaIndex{2})) {
         (void)harness.replicator().try_write(
             kpn::Token(std::vector<std::uint8_t>{1}, static_cast<std::uint64_t>(writes), 0));
         ++writes;

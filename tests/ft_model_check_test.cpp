@@ -42,10 +42,8 @@ Token make_token(std::uint64_t seq) {
 struct Model {
   sim::Simulator sim;
   SelectorChannel selector{sim, "sel",
-                           {.capacity1 = kCap1,
-                            .capacity2 = kCap2,
-                            .initial1 = kInit1,
-                            .initial2 = kInit2,
+                           {.capacities = {kCap1, kCap2},
+                            .initials = {kInit1, kInit2},
                             .divergence_threshold = kD,
                             .enable_stall_rule = true}};
   std::uint64_t next1 = 0;

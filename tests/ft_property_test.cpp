@@ -40,10 +40,8 @@ TEST_P(SelectorRandomized, StreamIntegrityUnderRandomInterleavings) {
   // tokens (= D - 1), so the stall tolerances |S_i|_0 must be >= 5 (in a real
   // design Eq. (4) guarantees exactly this relationship).
   SelectorChannel selector(sim, "sel",
-                           {.capacity1 = 8,
-                            .capacity2 = 9,
-                            .initial1 = 5,
-                            .initial2 = 5,
+                           {.capacities = {8, 9},
+                            .initials = {5, 5},
                             .divergence_threshold = 6,
                             .enable_stall_rule = true});
   auto& w1 = selector.write_interface(ReplicaIndex::kReplica1);
@@ -98,10 +96,8 @@ TEST_P(SelectorRandomized, DivergenceRuleNeverMisfiresWithinBound) {
   sim::Simulator sim;
   const rtc::Tokens d = 4;
   SelectorChannel selector(sim, "sel",
-                           {.capacity1 = 8,
-                            .capacity2 = 8,
-                            .initial1 = 4,
-                            .initial2 = 4,
+                           {.capacities = {8, 8},
+                            .initials = {4, 4},
                             .divergence_threshold = d,
                             .enable_stall_rule = false});
   auto& w1 = selector.write_interface(ReplicaIndex::kReplica1);
@@ -130,7 +126,7 @@ TEST_P(ReplicatorRandomized, NeverBlocksProducerNorOverfills) {
   sim::Simulator sim;
   const rtc::Tokens cap1 = 2 + rng.uniform_int(0, 2);
   const rtc::Tokens cap2 = 2 + rng.uniform_int(0, 3);
-  ReplicatorChannel replicator(sim, "rep", {cap1, cap2, std::nullopt, std::nullopt});
+  ReplicatorChannel replicator(sim, "rep", {{cap1, cap2}});
   auto& r1 = replicator.read_interface(ReplicaIndex::kReplica1);
   auto& r2 = replicator.read_interface(ReplicaIndex::kReplica2);
 
@@ -180,7 +176,7 @@ TEST_P(ReplicatorRandomized, NeverBlocksProducerNorOverfills) {
 TEST_P(ReplicatorRandomized, RecoveryCycleKeepsInvariants) {
   util::Xoshiro256 rng(GetParam() ^ 0x5EED);
   sim::Simulator sim;
-  ReplicatorChannel replicator(sim, "rep", {3, 3, std::nullopt, std::nullopt});
+  ReplicatorChannel replicator(sim, "rep", {{3, 3}});
   auto& r1 = replicator.read_interface(ReplicaIndex::kReplica1);
   auto& r2 = replicator.read_interface(ReplicaIndex::kReplica2);
   std::uint64_t seq = 0;

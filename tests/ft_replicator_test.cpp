@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/replicator.hpp"
 #include "kpn/network.hpp"
 #include "kpn/process.hpp"
@@ -24,7 +25,7 @@ struct Fixture {
 
   explicit Fixture(rtc::Tokens cap1 = 2, rtc::Tokens cap2 = 3) {
     replicator = &net.adopt_channel(std::make_unique<ReplicatorChannel>(
-        sim, "rep", ReplicatorChannel::Config{cap1, cap2, std::nullopt, std::nullopt}));
+        sim, "rep", ReplicatorChannel::Config{{cap1, cap2}}));
   }
 };
 
@@ -71,9 +72,8 @@ TEST(Replicator, SpaceFillAccounting) {
 
 TEST(Replicator, OverflowDeclaresFaultAndStopsInsertion) {
   Fixture fx(2, 3);
-  std::vector<DetectionRecord> records;
-  fx.replicator->set_fault_observer(
-      [&](const DetectionRecord& r) { records.push_back(r); });
+  const DetectionRecorder recorder(fx.sim.trace(), {fx.replicator->trace_subject()});
+  const std::vector<DetectionRecord>& records = recorder.log().records;
 
   // Nobody reads queue 1. Writes 1..2 fill it; write 3 finds space_1 == 0.
   EXPECT_TRUE(fx.replicator->try_write(make_token(0)));
@@ -173,7 +173,7 @@ TEST(Replicator, SlowConsumptionRateEventuallyFlagged) {
 
 TEST(Replicator, InvalidCapacitiesRejected) {
   sim::Simulator sim;
-  EXPECT_THROW(ReplicatorChannel(sim, "rep", {0, 1, std::nullopt, std::nullopt}),
+  EXPECT_THROW(ReplicatorChannel(sim, "rep", {{0, 1}}),
                util::ContractViolation);
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "ft/framework.hpp"
 #include "ft/selector.hpp"
 #include "kpn/network.hpp"
 #include "kpn/process.hpp"
@@ -31,10 +32,8 @@ struct Fixture {
 };
 
 SelectorChannel::Config basic_config() {
-  return SelectorChannel::Config{.capacity1 = 4,
-                                 .capacity2 = 6,
-                                 .initial1 = 2,
-                                 .initial2 = 3,
+  return SelectorChannel::Config{.capacities = {4, 6},
+                                 .initials = {2, 3},
                                  .divergence_threshold = 4};
 }
 
@@ -99,8 +98,8 @@ TEST(Selector, StallRuleFlagsLaggingReplica) {
   config.divergence_threshold = 0;  // only the stall rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  std::vector<DetectionRecord> records;
-  fx.selector->set_fault_observer([&](const DetectionRecord& r) { records.push_back(r); });
+  const DetectionRecorder recorder(fx.sim.trace(), {fx.selector->trace_subject()});
+  const std::vector<DetectionRecord>& records = recorder.log().records;
 
   // Replica 1 silent; replica 2 supplies, consumer drains. space_1 grows by
   // one per read; fault when space_1 > |S1| = 4, i.e. on the 3rd read.
@@ -118,8 +117,8 @@ TEST(Selector, DivergenceRuleFlagsSilentReplica) {
   config.enable_stall_rule = false;  // only the divergence rule active
   Fixture fx(config);
   auto& w2 = fx.selector->write_interface(ReplicaIndex::kReplica2);
-  std::vector<DetectionRecord> records;
-  fx.selector->set_fault_observer([&](const DetectionRecord& r) { records.push_back(r); });
+  const DetectionRecorder recorder(fx.sim.trace(), {fx.selector->trace_subject()});
+  const std::vector<DetectionRecord>& records = recorder.log().records;
 
   // Replica 2 delivers; replica 1 silent. Fault when W2 - W1 >= D = 4.
   for (std::uint64_t k = 0; k < 4; ++k) {
@@ -226,10 +225,10 @@ TEST(Selector, MaxObservedFillExcludesPreload) {
 
 TEST(Selector, InvalidConfigRejected) {
   sim::Simulator sim;
-  EXPECT_THROW(SelectorChannel(sim, "s", {.capacity1 = 0, .capacity2 = 1}),
+  EXPECT_THROW(SelectorChannel(sim, "s", {.capacities = {0, 1}}),
                util::ContractViolation);
   EXPECT_THROW(SelectorChannel(sim, "s",
-                               {.capacity1 = 2, .capacity2 = 2, .initial1 = 3}),
+                               {.capacities = {2, 2}, .initials = {3, 0}}),
                util::ContractViolation);
 }
 
