@@ -3,8 +3,9 @@
 // of the DES kernel is visible across PRs.
 //
 //   * single_stream — one producer -> FIFO -> consumer pipe pushing 3 KB
-//     payloads with no application work; CRC-stamping each fresh payload
-//     outweighs the kernel churn (schedule/dispatch, channel wakes).
+//     payloads with no application work. Nothing reads a payload CRC, so
+//     none is computed: the kernel churn (schedule/dispatch, channel wakes)
+//     and the payload allocation are what remains.
 //   * table2_mix   — one fault-free duplicated run per paper application
 //     (ADPCM, MJPEG, H.264) through the full experiment harness, transform
 //     caches pre-warmed so codec work is memoized and the simulator dominates.

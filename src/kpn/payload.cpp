@@ -9,6 +9,14 @@ PayloadPool& PayloadPool::instance() {
   return pool;
 }
 
+std::uint32_t PayloadBuffer::compute_crc() const {
+  const std::uint32_t crc = util::crc32(bytes_);
+  PayloadPool::instance().bytes_checksummed_.fetch_add(bytes_.size(),
+                                                        std::memory_order_relaxed);
+  crc_word_.store(kCrcKnown | crc, std::memory_order_relaxed);
+  return crc;
+}
+
 PayloadRef PayloadRef::adopt(std::vector<std::uint8_t> bytes) {
   return PayloadPool::instance().admit(std::move(bytes));
 }
@@ -26,11 +34,11 @@ PayloadRef PayloadPool::admit(std::vector<std::uint8_t> bytes) {
       buffers_created_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // From here the buffer is exclusively ours; fill and stamp outside the lock
-  // so concurrent admits never serialize on the CRC.
+  // From here the buffer is exclusively ours; fill it outside the lock. Its
+  // CRC is left for the first crc() call.
   buf->next_free_ = nullptr;
   buf->bytes_ = std::move(bytes);
-  buf->crc_ = util::crc32(buf->bytes_);
+  buf->crc_word_.store(0, std::memory_order_relaxed);
   buf->refs_.store(1, std::memory_order_relaxed);
   return PayloadRef(buf);
 }

@@ -5,9 +5,10 @@
 // that is one heap allocation (control block + vector) and one full-payload
 // CRC per *emission*, even though the payload caches mean only ~input_cycle
 // distinct byte strings ever exist. This module replaces the shared_ptr with
-// a pool-recycled buffer whose CRC is computed exactly once, at admission:
+// a pool-recycled buffer whose CRC is computed lazily, at most once, by the
+// first reader that asks for it:
 //
-//  - PayloadBuffer: immutable byte string + its CRC-32, intrusively
+//  - PayloadBuffer: immutable byte string + its memoized CRC-32, intrusively
 //    refcounted, linked into the pool's free list when the count hits zero
 //    so steady-state token traffic never allocates buffer nodes.
 //  - PayloadRef: the shared-ownership handle (the `SharedBytes` of the apps
@@ -17,9 +18,12 @@
 //    payloads through the transform caches — a buffer admitted by one worker
 //    thread may take its last release on another.
 //
+// Most buffers are never hashed: rule (c) reads a CRC only for a payload a
+// fault swapped (Token::corrupted), and on fault-free traffic only payload
+// votes and fingerprints read one. bytes_checksummed() counts what is hashed.
 // None of this changes simulated behaviour: buffers are immutable after
-// admission, and a buffer's crc() equals util::crc32(view()) by construction,
-// so every checksum the experiments record keeps its exact seed value.
+// admission and crc() always equals util::crc32(view()), so every checksum
+// the experiments record keeps its exact seed value.
 #pragma once
 
 #include <atomic>
@@ -36,7 +40,7 @@ namespace sccft::kpn {
 class PayloadPool;
 class PayloadRef;
 
-/// One immutable payload: bytes + CRC-32, refcounted, pool-recycled.
+/// One immutable payload: bytes + memoized CRC-32, refcounted, pool-recycled.
 class PayloadBuffer final {
  public:
   PayloadBuffer() = default;
@@ -45,14 +49,26 @@ class PayloadBuffer final {
 
   [[nodiscard]] std::span<const std::uint8_t> view() const { return bytes_; }
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] std::uint32_t crc() const { return crc_; }
+  /// util::crc32(view()), computed on the first call and memoized. Threads
+  /// racing on the first call each hash the same immutable bytes and store
+  /// the same word, so no lock is needed. Relaxed order suffices: the word
+  /// carries the whole value, and the bytes were published with the ref.
+  [[nodiscard]] std::uint32_t crc() const {
+    const std::uint64_t word = crc_word_.load(std::memory_order_relaxed);
+    return (word & kCrcKnown) != 0 ? static_cast<std::uint32_t>(word) : compute_crc();
+  }
 
  private:
   friend class PayloadPool;
   friend class PayloadRef;
 
+  static constexpr std::uint64_t kCrcKnown = std::uint64_t{1} << 32;
+
+  std::uint32_t compute_crc() const;
+
   std::vector<std::uint8_t> bytes_;
-  std::uint32_t crc_ = 0;
+  /// kCrcKnown | crc once computed, 0 before.
+  mutable std::atomic<std::uint64_t> crc_word_{0};
   std::atomic<std::uint32_t> refs_{0};
   PayloadBuffer* next_free_ = nullptr;
 };
@@ -85,7 +101,7 @@ class PayloadRef final {
   [[nodiscard]] explicit operator bool() const { return buf_ != nullptr; }
   [[nodiscard]] std::span<const std::uint8_t> view() const { return buf_->view(); }
   [[nodiscard]] std::size_t size() const { return buf_ != nullptr ? buf_->size() : 0; }
-  /// CRC-32 of the bytes, computed once at admission (== util::crc32(view())).
+  /// CRC-32 of the bytes (== util::crc32(view())), computed on first use.
   [[nodiscard]] std::uint32_t crc() const { return buf_ != nullptr ? buf_->crc() : 0; }
   /// Pointer identity of the underlying bytes (tests assert sharing).
   [[nodiscard]] const std::uint8_t* data() const {
@@ -114,8 +130,8 @@ class PayloadPool final {
  public:
   static PayloadPool& instance();
 
-  /// Moves `bytes` into a (recycled or fresh) buffer, stamps its CRC-32, and
-  /// returns a ref holding the initial reference.
+  /// Moves `bytes` into a (recycled or fresh) buffer and returns a ref holding
+  /// the initial reference. The bytes are not hashed here.
   [[nodiscard]] PayloadRef admit(std::vector<std::uint8_t> bytes);
 
   [[nodiscard]] std::uint64_t buffers_created() const {
@@ -124,9 +140,15 @@ class PayloadPool final {
   [[nodiscard]] std::uint64_t buffers_recycled() const {
     return buffers_recycled_.load(std::memory_order_relaxed);
   }
+  /// Payload bytes hashed by PayloadBuffer::crc() so far (each buffer at most
+  /// once, unless threads race on its first call).
+  [[nodiscard]] std::uint64_t bytes_checksummed() const {
+    return bytes_checksummed_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class PayloadRef;
+  friend class PayloadBuffer;
 
   void recycle(PayloadBuffer* buf) noexcept;
 
@@ -135,6 +157,7 @@ class PayloadPool final {
   std::vector<std::unique_ptr<PayloadBuffer>> storage_;
   std::atomic<std::uint64_t> buffers_created_{0};
   std::atomic<std::uint64_t> buffers_recycled_{0};
+  std::atomic<std::uint64_t> bytes_checksummed_{0};
 };
 
 inline void PayloadRef::release() noexcept {

@@ -9,14 +9,12 @@ namespace sccft::kpn {
 Token::Token(std::vector<std::uint8_t> payload, std::uint64_t seq, TimeNs produced_at)
     : payload_(PayloadRef::adopt(std::move(payload))),
       seq_(seq),
-      produced_at_(produced_at),
-      checksum_(payload_.crc()) {}
+      produced_at_(produced_at) {}
 
 Token::Token(PayloadRef payload, std::uint64_t seq, TimeNs produced_at)
     : payload_(std::move(payload)),
       seq_(seq),
-      produced_at_(produced_at),
-      checksum_(payload_.crc()) {
+      produced_at_(produced_at) {
   SCCFT_EXPECTS(static_cast<bool>(payload_));
 }
 
@@ -26,23 +24,32 @@ std::span<const std::uint8_t> Token::payload() const {
 }
 
 bool Token::verify_checksum() const {
-  if (!payload_) return true;
+  if (!payload_ || !own_stamp_) return true;
   return payload_.crc() == checksum_;
 }
 
-Token Token::corrupted(std::size_t bit_index) const {
+Token Token::flipped(std::size_t bit_index) const {
   SCCFT_EXPECTS(payload_ && payload_.size() > 0);
-  std::vector<std::uint8_t> flipped(payload_.view().begin(), payload_.view().end());
-  const std::size_t bit = bit_index % (flipped.size() * 8);
-  flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  Token copy = *this;  // keeps the (now stale) stored checksum
-  copy.payload_ = PayloadRef::adopt(std::move(flipped));
+  std::vector<std::uint8_t> bytes(payload_.view().begin(), payload_.view().end());
+  const std::size_t bit = bit_index % (bytes.size() * 8);
+  bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  Token copy = *this;
+  copy.payload_ = PayloadRef::adopt(std::move(bytes));
+  return copy;
+}
+
+Token Token::corrupted(std::size_t bit_index) const {
+  Token copy = flipped(bit_index);  // keeps any own stamp (now stale)
+  if (!own_stamp_) {
+    copy.checksum_ = payload_.crc();  // the stamp the original bytes carried
+    copy.own_stamp_ = true;
+  }
   return copy;
 }
 
 Token Token::silently_corrupted(std::size_t bit_index) const {
-  Token copy = corrupted(bit_index);
-  copy.checksum_ = copy.payload_.crc();  // stamped AFTER the flip: CRC is blind
+  Token copy = flipped(bit_index);
+  copy.own_stamp_ = false;  // stamped AFTER the flip: CRC is blind
   return copy;
 }
 

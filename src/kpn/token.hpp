@@ -7,11 +7,13 @@
 // the experiments can check *functional* equivalence (Theorem 2) in O(1)
 // space per token.
 //
-// Payload storage is the pooled PayloadRef (see payload.hpp): a buffer's CRC
-// is computed once at admission, so constructing a token from a shared
-// payload — the hot path of every replica emission — copies a cached word
-// instead of re-hashing kilobytes, and verify_checksum() is a constant-time
-// comparison of the token's stamped checksum against the buffer's true CRC.
+// Payload storage is the pooled PayloadRef (see payload.hpp). A token's
+// checksum *is* its buffer's memoized CRC unless a fault swapped the payload
+// under it: only corrupted() gives a token its own stamp (the original
+// buffer's CRC, taken at that moment). Constructing, copying and re-stamping
+// a token therefore never hash, verify_checksum() on an unswapped payload is
+// true without hashing (the stamp equals the buffer's CRC by construction),
+// and a buffer is hashed at most once, by the first checksum() that reads it.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +35,8 @@ class Token final {
   /// Creates a token with the given payload, sequence number and timestamp.
   Token(std::vector<std::uint8_t> payload, std::uint64_t seq, TimeNs produced_at);
 
-  /// Creates a token sharing an existing pooled payload (no copy, no CRC
-  /// recomputation; used by the payload caches on every replica emission).
+  /// Creates a token sharing an existing pooled payload (no copy, no CRC;
+  /// used by the payload caches on every replica emission).
   Token(PayloadRef payload, std::uint64_t seq, TimeNs produced_at);
 
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
@@ -44,13 +46,18 @@ class Token final {
   /// The shared payload handle itself (cached CRC + bytes). Empty for
   /// payload-less marker tokens.
   [[nodiscard]] const PayloadRef& payload_ref() const { return payload_; }
-  [[nodiscard]] std::uint32_t checksum() const { return checksum_; }
+  /// The stamped CRC-32: the own stamp corrupted() left, else the payload
+  /// buffer's (memoized) CRC. 0 for payload-less marker tokens.
+  [[nodiscard]] std::uint32_t checksum() const {
+    return own_stamp_ ? checksum_ : payload_.crc();
+  }
   [[nodiscard]] bool valid() const { return static_cast<bool>(payload_); }
 
-  /// Compares the stored checksum with the payload's true CRC-32 (cached at
-  /// buffer admission — O(1)). A token whose payload was altered *after* CRC
-  /// stamping (silent data corruption in a core or in transit) fails this
-  /// check; tokens without a payload pass vacuously.
+  /// Compares the stamped checksum with the payload's true CRC-32. A token
+  /// whose payload was altered *after* CRC stamping (silent data corruption
+  /// in a core or in transit) fails this check; tokens without a payload, and
+  /// tokens without an own stamp (whose stamp is the buffer's CRC), pass
+  /// without hashing.
   [[nodiscard]] bool verify_checksum() const;
 
   /// Returns a copy of this token re-stamped with a new sequence number and
@@ -61,7 +68,8 @@ class Token final {
   /// `bit_index % (8 * size)` flipped while the stored checksum is kept
   /// unchanged — i.e. a token corrupted after CRC stamping, exactly what
   /// verify_checksum() is designed to convict. The original (shared) payload
-  /// is not touched. Requires a non-empty payload.
+  /// is not touched. The copy keeps an own stamp: the original buffer's CRC,
+  /// or this token's own stamp if it has one. Requires a non-empty payload.
   [[nodiscard]] Token corrupted(std::size_t bit_index) const;
 
   /// Fault-injection helper for *silent* data corruption: returns a copy
@@ -69,14 +77,20 @@ class Token final {
   /// checksum is re-stamped to match the flipped bytes — i.e. the corruption
   /// happened before CRC stamping (an upset in the producing core's
   /// registers), so rule (c) passes vacuously and only cross-replica
-  /// comparison (a vote) can see it. Requires a non-empty payload.
+  /// comparison (a vote) can see it. The copy drops any own stamp, so its
+  /// checksum is the flipped buffer's CRC. Requires a non-empty payload.
   [[nodiscard]] Token silently_corrupted(std::size_t bit_index) const;
 
  private:
+  /// A copy whose payload is a fresh buffer with one bit flipped; every
+  /// other field, the own stamp included, is copied unchanged.
+  [[nodiscard]] Token flipped(std::size_t bit_index) const;
+
   PayloadRef payload_;
   std::uint64_t seq_ = 0;
   TimeNs produced_at_ = 0;
-  std::uint32_t checksum_ = 0;
+  std::uint32_t checksum_ = 0;  ///< meaningful only while own_stamp_
+  bool own_stamp_ = false;
 };
 
 }  // namespace sccft::kpn

@@ -3,7 +3,6 @@
 #include "rtc/pjd.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -12,30 +11,16 @@ namespace sccft::rtc {
 
 namespace {
 
-/// Candidate window lengths at which an extremum of f - g can occur: Delta=0,
-/// every jump point of either curve, and one nanosecond before every jump
-/// point (for staircases, f - g is piecewise constant between jumps; its
-/// maximum is attained immediately at an up-jump of f or immediately before
-/// an up-jump of g). Each curve's jump points arrive in increasing order
-/// (ordered_jump_points), so its {at - 1, at} pairs are already sorted and
-/// the two lists merge in linear time.
-std::vector<TimeNs> candidate_points(const Curve& f, const Curve& g, TimeNs horizon) {
-  auto bracketed = [horizon](const Curve& curve) {
-    std::vector<TimeNs> points;
-    for (const TimeNs at : ordered_jump_points(curve, horizon)) {
-      points.push_back(at - 1);
-      points.push_back(at);
-    }
-    return points;
-  };
-  const std::vector<TimeNs> from_f = bracketed(f);
-  const std::vector<TimeNs> from_g = bracketed(g);
-  std::vector<TimeNs> candidates;
-  candidates.reserve(1 + from_f.size() + from_g.size());
-  candidates.push_back(0);
-  std::merge(from_f.begin(), from_f.end(), from_g.begin(), from_g.end(),
-             std::back_inserter(candidates));
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+/// Candidate window lengths at which an extremum of f - g can occur: Delta = 0
+/// and every jump point of f. f is constant from one of its jump points up to
+/// the next and g is non-decreasing, so f - g cannot rise between f's jumps:
+/// the supremum, its earliest argmax and the first Delta reaching a target
+/// are all attained at 0 or at a jump of f. g's jump points are never
+/// enumerated; f's arrive strictly increasing (ordered_jump_points), so the
+/// list is sorted as built.
+std::vector<TimeNs> candidate_points(const Curve& f, TimeNs horizon) {
+  std::vector<TimeNs> candidates = ordered_jump_points(f, horizon);
+  candidates.insert(candidates.begin(), 0);
   return candidates;
 }
 
@@ -46,7 +31,7 @@ SupResult sup_difference(const Curve& f, const Curve& g, TimeNs horizon) {
   SupResult result;
   result.value = f.value_at(0) - g.value_at(0);
   result.at = 0;
-  for (TimeNs at : candidate_points(f, g, horizon)) {
+  for (TimeNs at : candidate_points(f, horizon)) {
     const Tokens diff = f.value_at(at) - g.value_at(at);
     if (diff > result.value) {
       result.value = diff;
@@ -64,7 +49,7 @@ SupResult sup_difference(const Curve& f, const Curve& g, TimeNs horizon) {
 std::optional<TimeNs> first_time_difference_reaches(const Curve& f, const Curve& g,
                                                     Tokens target, TimeNs horizon) {
   SCCFT_EXPECTS(horizon > 0);
-  for (TimeNs at : candidate_points(f, g, horizon)) {
+  for (TimeNs at : candidate_points(f, horizon)) {
     if (f.value_at(at) - g.value_at(at) >= target) return at;
   }
   return std::nullopt;

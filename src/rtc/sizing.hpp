@@ -6,9 +6,9 @@
 //   Eq. (5)  selector divergence threshold D (no-false-positive bound),
 //   Eq. (6)-(8)  worst-case fault-detection latency.
 //
-// All computations are exact for staircase curves: suprema/infima of curve
-// differences are evaluated at the curves' jump points (and one nanosecond
-// before each), which is where extrema of integer staircases occur.
+// All computations are exact for staircase curves: a difference f - g of a
+// staircase f and a non-decreasing g is evaluated at Delta = 0 and at f's
+// jump points, which is where its suprema and first crossings occur.
 #pragma once
 
 #include <optional>
@@ -28,13 +28,18 @@ struct SupResult {
                          ///< half of the horizon (heuristic convergence check)
 };
 
-/// sup over Delta in [0, horizon] of f(Delta) - g(Delta).
+/// sup over Delta in [0, horizon] of f(Delta) - g(Delta), with `at` the
+/// earliest Delta attaining it.
+///
+/// Precondition: g is non-decreasing (every Curve is). Only Delta = 0 and
+/// f's jump points are evaluated, so g's jump list is not read.
 ///
 /// If f's long-term rate exceeds g's the difference grows without bound and
 /// `bounded` is false (`value` then holds the horizon-limited maximum).
 [[nodiscard]] SupResult sup_difference(const Curve& f, const Curve& g, TimeNs horizon);
 
-/// Smallest Delta in (0, horizon] with f(Delta) - g(Delta) >= target, if any.
+/// Smallest Delta in [0, horizon] with f(Delta) - g(Delta) >= target, if any.
+/// Same precondition and evaluation points as sup_difference.
 [[nodiscard]] std::optional<TimeNs> first_time_difference_reaches(const Curve& f,
                                                                   const Curve& g,
                                                                   Tokens target,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ft/fleet.hpp"
+#include "kpn/payload.hpp"
 #include "scc/placement.hpp"
 #include "scc/topology.hpp"
 
@@ -417,6 +418,34 @@ TEST(Fleet, MixedProtectionFleetOutcomesArePinned) {
   EXPECT_EQ(result.placement_cost, 13730816u);
   EXPECT_EQ(result.max_tile_mpb_used, 16384u);
   expect_pinned(result, kMixedFleet32, std::size(kMixedFleet32));
+}
+
+// --- lazy CRC pins ----------------------------------------------------------
+// Payload CRCs are computed only where they are read. No fault in these
+// fleets swaps a payload, so rule (c) never hashes; only the N = 3 streams'
+// payload votes read checksums: one shared 1 KiB buffer per token of the four
+// vote streams (50 + 98 + 110 + 55 = 313 tokens consumed, see kMixedFleet32).
+
+std::uint64_t checksummed_by_run(const FleetSpec& spec) {
+  const kpn::PayloadPool& pool = kpn::PayloadPool::instance();
+  const std::uint64_t before = pool.bytes_checksummed();
+  (void)run_fleet(spec, quick_options());
+  return pool.bytes_checksummed() - before;
+}
+
+TEST(Fleet, DefaultFleetChecksumsNoPayloadBytes) {
+  FleetSpec spec;
+  spec.streams = 32;
+  EXPECT_EQ(checksummed_by_run(spec), 0u);
+}
+
+TEST(Fleet, MixedProtectionFleetChecksumsOnlyVoteStreams) {
+  FleetSpec spec;
+  spec.streams = 32;
+  for (int k = 0; k < 4; ++k) {
+    spec.protection.insert(spec.protection.end(), {3, 1, 2, 1, 2, 1, 2, 1});
+  }
+  EXPECT_EQ(checksummed_by_run(spec), 320512u);
 }
 
 }  // namespace

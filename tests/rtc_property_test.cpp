@@ -223,11 +223,12 @@ TEST(MinPlusOracle, ConvAgreesWithPjdCurves) {
 }
 
 // --- merged candidate scans vs the sort-based reference ---------------------
-// sup_difference, first_time_difference_reaches and the pointwise operators
-// merge each curve's jump-point list (increasing by the Curve contract) into
-// their candidate set. The reference below is the concatenate-and-sort
-// generator those scans used before; on random curve pairs and horizons both
-// must produce identical results, field for field.
+// The pointwise operators merge both curves' jump-point lists (increasing by
+// the Curve contract); sup_difference and first_time_difference_reaches scan
+// only Delta = 0 and f's jump points. The reference below is the
+// concatenate-and-sort generator over both curves' jumps, bracketed by
+// at - 1, that the scans used before; on random curve pairs and horizons
+// both must produce identical results, field for field.
 
 std::vector<TimeNs> sorted_candidates(const Curve& f, const Curve& g, TimeNs horizon,
                                       bool bracket) {
@@ -347,6 +348,65 @@ TEST(MergedScan, FirstReachMatchesSortedReference) {
   }
 }
 
+/// A staircase g whose every jump sits where f has none: one nanosecond on
+/// either side of f's jumps, and random points f does not jump at. The scans
+/// read only f's jump list, so these are the cases where g's steps must
+/// still be accounted for by evaluating g at f's points.
+StaircaseCurve jumps_f_lacks(util::Xoshiro256& rng, const Curve& f, TimeNs horizon) {
+  const std::vector<TimeNs> f_jumps = f.jump_points_up_to(horizon);
+  const auto f_jumps_at = [&](TimeNs at) {
+    return std::binary_search(f_jumps.begin(), f_jumps.end(), at);
+  };
+  std::vector<TimeNs> ats;
+  for (const TimeNs at : f_jumps) {
+    if (rng.uniform_int(0, 1) == 0) ats.push_back(at - 1);
+    if (rng.uniform_int(0, 1) == 0) ats.push_back(at + 1);
+  }
+  for (int extra = 0; extra < 4; ++extra) ats.push_back(rng.uniform_int(1, horizon));
+  std::sort(ats.begin(), ats.end());
+  ats.erase(std::unique(ats.begin(), ats.end()), ats.end());
+  std::vector<StaircaseCurve::Jump> jumps;
+  for (const TimeNs at : ats) {
+    if (at > 0 && !f_jumps_at(at)) jumps.push_back({at, rng.uniform_int(1, 3)});
+  }
+  return StaircaseCurve(rng.uniform_int(0, 3), std::move(jumps), 0, 0, 0, "g");
+}
+
+TEST(MergedScan, JumpsOnlyInGMatchSortedAndBruteForce) {
+  util::Xoshiro256 rng(1306);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const CurveRef f = random_curve(rng);
+    const TimeNs horizon = rng.uniform_int(1, 200);
+    const StaircaseCurve g = jumps_f_lacks(rng, *f, horizon);
+    const Tokens target = rng.uniform_int(-2, 8);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " f=" + f->describe() +
+                 " g=" + g.describe() + " horizon=" + std::to_string(horizon));
+    // Every integer window length: the scans must be exact, not just agree
+    // with the old candidate set.
+    Tokens best = f->value_at(0) - g.value_at(0);
+    TimeNs best_at = 0;
+    std::optional<TimeNs> first;
+    for (TimeNs delta = 0; delta <= horizon; ++delta) {
+      const Tokens diff = f->value_at(delta) - g.value_at(delta);
+      if (diff > best) {
+        best = diff;
+        best_at = delta;
+      }
+      if (!first && diff >= target) first = delta;
+    }
+    const SupResult got = sup_difference(*f, g, horizon);
+    const SupResult want = reference_sup(*f, g, horizon);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.at, want.at);
+    EXPECT_EQ(got.stabilized, want.stabilized);
+    EXPECT_EQ(got.value, best);
+    EXPECT_EQ(got.at, best_at);
+    EXPECT_EQ(first_time_difference_reaches(*f, g, target, horizon),
+              reference_first_reach(*f, g, target, horizon));
+    EXPECT_EQ(first_time_difference_reaches(*f, g, target, horizon), first);
+  }
+}
+
 void expect_same_staircase(const StaircaseCurve& got, const StaircaseCurve& want,
                            const std::string& what) {
   EXPECT_EQ(got.base(), want.base()) << what;
@@ -404,7 +464,7 @@ TEST(MergedScan, UnorderedJumpPointsViolateTheContract) {
   const UnorderedCurve bad;
   const ZeroCurve zero;
   EXPECT_THROW((void)sup_difference(bad, zero, 10), util::ContractViolation);
-  EXPECT_THROW((void)first_time_difference_reaches(zero, bad, 1, 10),
+  EXPECT_THROW((void)first_time_difference_reaches(bad, zero, 1, 10),
                util::ContractViolation);
   EXPECT_THROW((void)pointwise_max(bad, zero, 10), util::ContractViolation);
 }
